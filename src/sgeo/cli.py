@@ -20,6 +20,7 @@ from .errors import (
     DiameterTooSmall,
     Disconnected,
     GeodesicExplosion,
+    MalformedWitness,
     SgeoError,
     SizeLimitExceeded,
 )
@@ -138,17 +139,14 @@ def cmd_construct(args) -> int:
             built = construct.build_hypercube_improved(n, n0)
         else:
             built = construct.build_hypercube_basic(n, n0)
-        g = graph.hypercube(n)
     elif args.family == "kbipartite":
         if len(args.params) != 2:
             raise SgeoError("construct kbipartite takes two parameters")
         built = construct.build_bipartite_witness(args.params[0], args.params[1])
-        g = graph.complete_bipartite(args.params[0], args.params[1])
     elif args.family == "crown":
         if len(args.params) != 1:
             raise SgeoError("construct crown takes one parameter")
         built = construct.build_crown_witness(args.params[0])
-        g = graph.crown(args.params[0])
     else:
         raise SgeoError(f"unknown family {args.family!r}")
 
@@ -159,15 +157,18 @@ def cmd_construct(args) -> int:
     if built.plan is not None:
         doc["plan"] = built.plan.to_dict()
     if args.verify:
-        doc["coverage"] = verify.report_to_dict(verify.verify_witness(g, built.witness))
+        doc["coverage"] = verify.report_to_dict(built.coverage)
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    data = json.loads(FilePath(args.witness).read_text())
-    if "witness" in data and "set" not in data:
+    try:
+        data = json.loads(FilePath(args.witness).read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise MalformedWitness(f"witness is not JSON: {exc!r}") from None
+    if isinstance(data, dict) and "witness" in data and "set" not in data:
         data = data["witness"]
     w = verify.witness_from_dict(data)
     report = verify.verify_witness(g, w)

@@ -18,6 +18,7 @@ from .errors import AssignmentInfeasible, OutOfRange
 from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
 from .graph import Path, complete_bipartite, crown, hypercube
 from .verify import (
+    CoverageReport,
     Witness,
     is_strong_geodetic_set,
     make_witness,
@@ -60,8 +61,11 @@ class HypercubeConstructionPlan:
 
 @dataclass
 class ConstructionResult:
+    """A witness with its size report and the builder's own verification."""
+
     witness: Witness
     report: dict
+    coverage: CoverageReport
     plan: Optional[HypercubeConstructionPlan] = None
 
 
@@ -121,10 +125,11 @@ def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
             pair_paths[(i, j)] = [i, j]
 
     witness = make_witness(xs + ys, pair_paths)
-    if not verify_witness(g, witness).covered:
+    coverage = verify_witness(g, witness)
+    if not coverage.covered:
         raise AssignmentInfeasible("bipartite witness failed verification")
     report = {"target_size": opt.value, "achieved_size": witness.size(), "repairs": 0}
-    return ConstructionResult(witness, report)
+    return ConstructionResult(witness, report, coverage)
 
 
 def build_crown_witness(n: int) -> ConstructionResult:
@@ -199,13 +204,15 @@ def build_crown_witness(n: int) -> ConstructionResult:
                 pair_paths[_pair(i, n + j)] = [i, n + j]
 
     witness = make_witness(sel, pair_paths)
-    if not verify_witness(g, witness).covered:
+    coverage = verify_witness(g, witness)
+    if not coverage.covered:
         # The optimum is guaranteed achievable on this split; search for it.
         witness = is_strong_geodetic_set(g, sel)
         if witness is None:
             raise AssignmentInfeasible("crown witness failed verification")
+        coverage = verify_witness(g, witness)
     report = {"target_size": res.value, "achieved_size": witness.size(), "repairs": 0}
-    return ConstructionResult(witness, report)
+    return ConstructionResult(witness, report, coverage)
 
 
 def _hypercube_frame(n: int, n0: int):
@@ -251,12 +258,13 @@ def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
         pair_paths[_pair(a, b)] = canonical_path(a, b, n)
 
     witness = make_witness(P + Q, pair_paths)
-    if not verify_witness(g, witness).covered:
+    coverage = verify_witness(g, witness)
+    if not coverage.covered:
         raise AssignmentInfeasible("basic hypercube witness failed verification")
     target = 2 ** (n - n0) + 2 ** (n0 - 1)
     plan = HypercubeConstructionPlan(n=n, n0=n0, P=sorted(P), Q=sorted(Q))
     report = {"target_size": target, "achieved_size": witness.size(), "repairs": 0}
-    return ConstructionResult(witness, report, plan)
+    return ConstructionResult(witness, report, coverage, plan)
 
 
 def _ltr_chain(d: int, c: int) -> list[int]:
@@ -432,4 +440,4 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
         "achieved_size": witness.size(),
         "repairs": repairs,
     }
-    return ConstructionResult(witness, report, plan)
+    return ConstructionResult(witness, report, coverage, plan)

@@ -4,11 +4,17 @@ Vertices are dense 0-based indices; each adjacency row is a Python int
 used as a bit set over vertex indices.  Hypercube vertices encode the
 bit string b1..bn with b1 as the most significant bit, so string labels
 from the construction templates map directly onto integers.
+
+All distance questions go through one primitive, ``bfs_levels``: a BFS
+whose levels are bitsets, each found by OR-ing the adjacency rows of the
+previous level (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
+2013).  Distances, connectivity, the diameter, geodesic checks and the
+u-v interval that geodesic counting and enumeration walk are all read
+off its levels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -207,64 +213,85 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def distances_from(g: Graph, u: int) -> list[Optional[int]]:
-    """BFS distances from u; unreachable vertices carry None."""
+def _neighbourhood(adj: tuple[int, ...], mask: int) -> int:
+    """Union of the adjacency rows of the vertices in ``mask``."""
+    reach = 0
+    while mask:
+        # Clearing the top bit shrinks the int, which is cheaper than
+        # clearing the lowest on wide masks.
+        top = mask.bit_length() - 1
+        reach |= adj[top]
+        mask ^= 1 << top
+    return reach
+
+
+def bfs_levels(g: Graph, u: int, stop: int = 0) -> list[int]:
+    """Level sets of a BFS from u: ``levels[k]`` is the bitset of the
+    vertices at distance k, and the union of all levels is u's component.
+
+    Each level is the OR of the adjacency rows of the previous level,
+    less every vertex already seen.  The search ends after the first
+    level that meets the bitset ``stop``, or when no new vertex is found.
+    """
     if not 0 <= u < g.n:
         raise IndexOutOfRange(f"vertex {u} out of range")
-    dist: list[Optional[int]] = [None] * g.n
-    dist[u] = 0
-    queue = deque([u])
     adj = g.adj
-    while queue:
-        w = queue.popleft()
-        dw = dist[w]
-        row = adj[w]
-        while row:
-            lsb = row & -row
-            x = lsb.bit_length() - 1
-            row ^= lsb
-            if dist[x] is None:
-                dist[x] = dw + 1
-                queue.append(x)
+    frontier = seen = 1 << u
+    levels = [frontier]
+    while not frontier & stop:
+        frontier = _neighbourhood(adj, frontier) & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels.append(frontier)
+    return levels
+
+
+def distances_from(g: Graph, u: int) -> list[Optional[int]]:
+    """BFS distances from u; unreachable vertices carry None."""
+    dist: list[Optional[int]] = [None] * g.n
+    for k, level in enumerate(bfs_levels(g, u)):
+        for w in iter_bits(level):
+            dist[w] = k
     return dist
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return all(d is not None for d in distances_from(g, 0))
+    # Levels are disjoint, so their sum is the component of vertex 0.
+    return g.n > 0 and sum(bfs_levels(g, 0)) == (1 << g.n) - 1
 
 
-def _geodesic_interior(g: Graph, u: int, v: int):
-    """Distances and the set of vertices lying on some u-v geodesic."""
-    du = distances_from(g, u)
-    if du[v] is None:
+def _geodesic_interval(g: Graph, u: int, v: int) -> tuple[list[int], int]:
+    """The u-v interval by level, and the number of u-v geodesics.
+
+    ``interval[k]`` is the bitset of vertices at distance k from u that
+    lie on some shortest u-v path.  One BFS from u stops at v's level; a
+    backward sweep keeps the level-k vertices adjacent to level k + 1 of
+    the interval.
+    """
+    if u == v:
+        raise ValueError("endpoints must differ")
+    if not 0 <= v < g.n:
+        raise IndexOutOfRange(f"vertex {v} out of range")
+    levels = bfs_levels(g, u, 1 << v)
+    if not levels[-1] >> v & 1:
         raise Unreachable(f"no path between {u} and {v}")
-    dv = distances_from(g, v)
-    d = du[v]
-    on = [
-        w
-        for w in range(g.n)
-        if du[w] is not None and dv[w] is not None and du[w] + dv[w] == d
-    ]
-    return du, dv, d, on
+    adj = g.adj
+    d = len(levels) - 1
+    interval = [0] * (d + 1)
+    interval[d] = 1 << v
+    ways = {v: 1}
+    for k in range(d - 1, -1, -1):
+        nxt = interval[k + 1]
+        interval[k] = level = levels[k] & _neighbourhood(adj, nxt)
+        for w in iter_bits(level):
+            ways[w] = sum(ways[x] for x in iter_bits(adj[w] & nxt))
+    return interval, ways[u]
 
 
 def count_geodesics(g: Graph, u: int, v: int) -> int:
     """Number of distinct shortest u-v paths, counted exactly on the BFS DAG."""
-    if u == v:
-        raise ValueError("endpoints must differ")
-    du, dv, d, on = _geodesic_interior(g, u, v)
-    ways = {v: 1}
-    for w in sorted(on, key=lambda w: -du[w]):
-        if w == v:
-            continue
-        total = 0
-        for x in iter_bits(g.adj[w]):
-            if x in ways and du[x] == du[w] + 1:
-                total += ways[x]
-        ways[w] = total
-    return ways[u]
+    return _geodesic_interval(g, u, v)[1]
 
 
 def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = DEFAULT_GEODESIC_CAP) -> list[Path]:
@@ -273,28 +300,25 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = DEFAULT_GEODESIC_CA
     The count is established first via DAG counting; if it exceeds ``cap``
     a GeodesicExplosion is raised without enumerating anything.
     """
-    if u == v:
-        raise ValueError("endpoints must differ")
-    du, dv, d, on = _geodesic_interior(g, u, v)
-    on_set = set(on)
-    total = count_geodesics(g, u, v)
+    interval, total = _geodesic_interval(g, u, v)
     if total > cap:
         raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
 
+    adj = g.adj
+    d = len(interval) - 1
     paths: list[Path] = []
     path = [u]
 
-    def walk(w: int) -> None:
-        if w == v:
+    def walk(w: int, k: int) -> None:
+        if k == d:
             paths.append(list(path))
             return
-        for x in iter_bits(g.adj[w]):
-            if x in on_set and du[x] == du[w] + 1:
-                path.append(x)
-                walk(x)
-                path.pop()
+        for x in iter_bits(adj[w] & interval[k + 1]):
+            path.append(x)
+            walk(x, k + 1)
+            path.pop()
 
-    walk(u)
+    walk(u, 0)
     return paths
 
 
@@ -302,15 +326,9 @@ def diameter(g: Graph) -> int:
     """Max eccentricity over all vertices; raises Disconnected when apt."""
     if g.n == 0:
         raise Disconnected("empty graph")
-    best = 0
-    for u in range(g.n):
-        dist = distances_from(g, u)
-        for d in dist:
-            if d is None:
-                raise Disconnected("graph is not connected")
-            if d > best:
-                best = d
-    return best
+    if not is_connected(g):
+        raise Disconnected("graph is not connected")
+    return max(len(bfs_levels(g, u)) - 1 for u in range(g.n))
 
 
 def is_geodesic(g: Graph, path: Path) -> bool:
@@ -324,5 +342,4 @@ def is_geodesic(g: Graph, path: Path) -> bool:
             return False
     if len(path) == 1:
         return True
-    du = distances_from(g, path[0])
-    return du[path[-1]] == len(path) - 1
+    return len(bfs_levels(g, path[0], 1 << path[-1])) == len(path)

@@ -10,7 +10,6 @@ lexicographically first success of the first successful size.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
@@ -31,11 +30,14 @@ def lower_bound_general(g: Graph) -> int:
     Requires diameter d >= 2; the value is the smallest integer at least
     (d - 3 + sqrt((d-3)^2 + 8 n (d-1))) / (2 (d-1)).
     """
-    d = diameter(g)
+    return _lower_bound(g.n, diameter(g))
+
+
+def _lower_bound(n: int, d: int) -> int:
     if d < 2:
         raise DiameterTooSmall(f"bound needs diameter >= 2, got {d}")
     a = d - 3
-    disc = a * a + 8 * g.n * (d - 1)
+    disc = a * a + 8 * n * (d - 1)
     return ceil_sqrt_ratio(a, disc, 2 * (d - 1))
 
 
@@ -101,7 +103,7 @@ def sg_exact(
 
     forced = sorted(forced_vertices(g))
     free = [v for v in range(g.n) if v not in set(forced)]
-    start = max(lower_bound_general(g), len(forced), 2)
+    start = max(_lower_bound(g.n, d), len(forced), 2)
     cache = _PairCache(g, cap)
 
     for t in range(start, g.n + 1):
@@ -128,6 +130,8 @@ def _first_success(
             if w is not None:
                 return w
         return None
+
+    from concurrent.futures import ThreadPoolExecutor
 
     # Keep a bounded window of blocks in flight; consume results in
     # submission order so the reduction is deterministic.

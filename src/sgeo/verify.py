@@ -2,6 +2,8 @@
 
 A witness fixes exactly one geodesic per unordered pair of the selected
 set; the set is strong geodetic when the fixed paths cover every vertex.
+``verify_witness`` keeps the BFS level sets of each path start: a path
+with k edges is a shortest path exactly when its end lies in level k.
 The decision search backtracks over per-pair geodesic choices with
 coverage bitsets, committing vertices shared by all of a pair's
 geodesics up front and pruning branches whose remaining optional
@@ -19,7 +21,7 @@ from .graph import (
     DEFAULT_GEODESIC_CAP,
     Graph,
     Path,
-    distances_from,
+    bfs_levels,
     enumerate_geodesics,
     is_connected,
 )
@@ -75,7 +77,7 @@ def witness_from_dict(data: dict) -> Witness:
             PairGeodesic(int(a["u"]), int(a["v"]), tuple(int(x) for x in a["path"]))
             for a in data["assignment"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedWitness(f"bad witness document: {exc}") from None
     return Witness(verts, assignment)
 
@@ -117,13 +119,7 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
     if missing:
         raise MalformedWitness(f"missing assignment for pairs {sorted(missing)}")
 
-    dist_cache: dict[int, list] = {}
-
-    def dist(u: int):
-        if u not in dist_cache:
-            dist_cache[u] = distances_from(g, u)
-        return dist_cache[u]
-
+    levels_from: dict[int, list[int]] = {}
     covered = 0
     for v in sel:
         covered |= 1 << v
@@ -139,8 +135,11 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
         elif any(not g.has_edge(x, y) for x, y in zip(path, path[1:])):
             reason = "non-adjacent step"
         else:
-            d = dist(path[0])[path[-1]]
-            if d is None or d != len(path) - 1:
+            levels = levels_from.get(path[0])
+            if levels is None:
+                levels = levels_from[path[0]] = bfs_levels(g, path[0])
+            k = len(path) - 1
+            if k >= len(levels) or not levels[k] >> path[-1] & 1:
                 reason = "not a shortest path"
         if reason is not None:
             invalid.append((key, reason))

@@ -174,6 +174,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(graph_file), str(witness_file))
         assert code == 0 and json.loads(out)["covered"] is True
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "5",
+            "[]",
+            "[" * 100_000,
+            '{"set": [1e400], "assignment": []}',
+        ],
+        ids=["invalid", "number", "list", "deep", "overflow"],
+    )
+    def test_malformed_json_exits_2(self, capsys, tmp_path, text):
+        graph_file, witness_file = self.make_files(capsys, tmp_path, {})
+        witness_file.write_text(text)
+        code, out, err = run(capsys, "verify", str(graph_file), str(witness_file))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error"
+        assert doc["payload"]["code"] == "MalformedWitness"
+
     def test_construct_output_round_trips(self, capsys, tmp_path):
         _, out, _ = run(capsys, "construct", "hypercube", "5", "--n0", "3")
         witness_file = tmp_path / "w.json"

@@ -1,5 +1,6 @@
 import pytest
 
+from sgeo import construct
 from sgeo import (
     OutOfRange,
     build_bipartite_witness,
@@ -73,6 +74,36 @@ class TestCrownWitness:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             build_crown_witness(2)
+
+    def test_search_fallback_is_verified(self, monkeypatch):
+        # Make the greedy assignment read as uncovered, so the builder falls
+        # back to the exact search; the witness it returns must be verified.
+        real = construct.verify_witness
+        checked = []
+
+        def verify_witness_once_uncovered(g, w):
+            checked.append(w)
+            report = real(g, w)
+            if len(checked) == 1:
+                report.covered = False
+            return report
+
+        monkeypatch.setattr(construct, "verify_witness", verify_witness_once_uncovered)
+        built = build_crown_witness(5)
+        assert len(checked) == 2 and checked[1] == built.witness
+        assert built.coverage.covered
+        assert built.witness.size() == sg_crown(5).value
+
+
+def test_builders_keep_their_coverage_report():
+    for built, g in [
+        (build_bipartite_witness(3, 5), complete_bipartite(3, 5)),
+        (build_crown_witness(6), crown(6)),
+        (build_hypercube_basic(6, 3), hypercube(6)),
+        (build_hypercube_improved(7, 4), hypercube(7)),
+    ]:
+        assert built.coverage == verify_witness(g, built.witness)
+        assert built.coverage.covered
 
 
 class TestHypercubeBasic:

@@ -1,0 +1,77 @@
+"""Byte-identical CLI output on a fixed command set.
+
+Each digest is the sha256 of a command's stdout.  A change to the
+algorithms behind these commands must leave them as they are; a change
+that means to alter the output updates them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from sgeo import complete_bipartite, crown, hypercube, to_edge_list
+from sgeo.cli import main
+
+CONSTRUCT = {
+    "hypercube 8 --n0 5": (
+        hypercube(8),
+        ["hypercube", "8", "--n0", "5"],
+        "afb7311a5a0f3f82e260ee70d1ba63bbbeebb86e3671243e13c8dbcb8395f1e3",
+    ),
+    "hypercube 8 --n0 5 --improved": (
+        hypercube(8),
+        ["hypercube", "8", "--n0", "5", "--improved"],
+        "1a8b65b48b531c37c2a0aabde8322d8ae1da5ab5f9963d14ece031f119c284c9",
+    ),
+    "crown 6": (
+        crown(6),
+        ["crown", "6"],
+        "3e5bf5067e87306065ef350d18cea26b314ce987417d3d76cdd0794d2b765b2a",
+    ),
+    "kbipartite 4 10": (
+        complete_bipartite(4, 10),
+        ["kbipartite", "4", "10"],
+        "1ba5f67e868021776e6af94cd96f83845aaf57b36d75040fb4e6f79f69b37ad3",
+    ),
+}
+
+# Every verify run prints the same covering report.
+VERIFY_COVERED = "e498c92395a25ec73465058f88d99060cd8938b760b39002d019759d2bb1bb04"
+
+EXACT = {
+    "Q3": (hypercube(3), "efbcaf518ad6d718703d6ded3405a9c0438375b31c49d4dca3a382faa6d831a3"),
+    "K(3,4)": (
+        complete_bipartite(3, 4),
+        "ce936461a265204ca57f13629ddfc754e70432e304306f3d29a33e4c160f8fc2",
+    ),
+    "crown(4)": (crown(4), "b6497205087781f797a2bfd628c56bf22c86c07e023ef07eaeddb511cbcd50a0"),
+}
+
+
+def stdout_digest(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", CONSTRUCT)
+def test_construct_and_verify(capsys, tmp_path, name):
+    g, params, digest = CONSTRUCT[name]
+    out, got = stdout_digest(capsys, "construct", *params, "--verify")
+    assert got == digest
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(to_edge_list(g))
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(out)
+    _, got = stdout_digest(capsys, "verify", str(graph_file), str(witness_file))
+    assert got == VERIFY_COVERED
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact(capsys, tmp_path, name):
+    g, digest = EXACT[name]
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(to_edge_list(g))
+    _, got = stdout_digest(capsys, "exact", str(graph_file))
+    assert got == digest

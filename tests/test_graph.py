@@ -21,6 +21,7 @@ from sgeo import (
     hypercube,
     to_edge_list,
 )
+from sgeo.graph import bfs_levels
 
 
 def brute_force_shortest_paths(g, u, v):
@@ -248,6 +249,34 @@ class TestGeodesics:
         for g in (hypercube(3), crown(3), complete_bipartite(2, 3)):
             for u, v in itertools.combinations(range(g.n), 2):
                 assert enumerate_geodesics(g, u, v) == brute_force_shortest_paths(g, u, v)
+
+
+class TestBfsLevels:
+    def test_q4_levels_are_popcount_classes(self):
+        levels = bfs_levels(hypercube(4), 0)
+        assert levels == [
+            sum(1 << v for v in range(16) if bin(v).count("1") == k) for k in range(5)
+        ]
+
+    def test_stop_ends_at_the_level_that_meets_it(self):
+        g = hypercube(4)
+        assert bfs_levels(g, 0, 1 << 0b0011) == bfs_levels(g, 0)[:3]
+        assert bfs_levels(g, 5, 1 << 5) == [1 << 5]
+
+    def test_component_only(self):
+        g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        assert bfs_levels(g, 0) == [0b1, 0b10, 0b100]
+        assert bfs_levels(g, 0, 1 << 4) == [0b1, 0b10, 0b100]
+
+    def test_out_of_range(self):
+        g = hypercube(2)
+        for u in (-1, 4):
+            with pytest.raises(IndexOutOfRange):
+                bfs_levels(g, u)
+            with pytest.raises(IndexOutOfRange):
+                distances_from(g, u)
+            with pytest.raises(IndexOutOfRange):
+                count_geodesics(g, 0, u)
 
 
 class TestDiameter:
