@@ -39,13 +39,23 @@ EXIT_RESOURCE = 3
 EXIT_UNCOVERED = 4
 
 
-def _default_cap() -> int:
+def _positive(name: str, value) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number <= 0:
+        raise SgeoError(f"{name} must be a positive integer, got {value!r}")
+    return number
+
+
+def _cap(args) -> int:
+    """``--cap``, else a nonempty ``SG_GEODESIC_CAP``, else the default."""
+    if args.cap is not None:
+        return _positive("--cap", args.cap)
     env = os.environ.get("SG_GEODESIC_CAP")
     if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
+        return _positive("SG_GEODESIC_CAP", env)
     return graph.DEFAULT_GEODESIC_CAP
 
 
@@ -90,10 +100,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    cap = _cap(args)
+    max_size = _positive("--max-size", args.max_size)
     g = _load_graph(args.graph)
-    result = solver.sg_exact(
-        g, cap=args.cap, max_vertices=args.max_size, threads=args.threads
-    )
+    result = solver.sg_exact(g, cap=cap, max_vertices=max_size)
     _emit(result.to_dict())
     return EXIT_OK
 
@@ -218,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact strong geodetic number of a graph file")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-size", type=int, default=solver.DEFAULT_MAX_VERTICES)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("formula", help="closed-form value for a graph family")

@@ -8,9 +8,9 @@ from the construction templates map directly onto integers.
 All distance questions go through one primitive, ``bfs_levels``: a BFS
 whose levels are bitsets, each found by OR-ing the adjacency rows of the
 previous level (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
-2013).  Distances, connectivity, the diameter, geodesic checks and the
-u-v interval that geodesic counting and enumeration walk are all read
-off its levels.
+2013).  Distances, connectivity, the diameter, geodesic checks, the
+u-v interval that geodesic counting and enumeration walk, and the
+all-pairs interval table of the exact solver are all read off its levels.
 """
 
 from __future__ import annotations
@@ -329,6 +329,33 @@ def diameter(g: Graph) -> int:
     if not is_connected(g):
         raise Disconnected("graph is not connected")
     return max(len(bfs_levels(g, u)) - 1 for u in range(g.n))
+
+
+def geodesic_table(g: Graph) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Diameter, intervals and geodesic counts of a connected graph,
+    from one BFS per vertex.
+
+    ``interval[u][v]`` is the bitset of the vertices on some shortest u-v
+    path: the union over k of level k from u and level d(u, v) - k from v.
+    ``count[u][v]`` is the number of u-v geodesics, summed level by level
+    from u over the previous level's neighbours (Brandes' sigma sweep).
+    """
+    levels = [bfs_levels(g, u) for u in range(g.n)]
+    dist = [[0] * g.n for _ in range(g.n)]
+    count = [[0] * g.n for _ in range(g.n)]
+    for u, lv in enumerate(levels):
+        du, cu = dist[u], count[u]
+        cu[u] = 1
+        for k in range(1, len(lv)):
+            for w in iter_bits(lv[k]):
+                du[w] = k
+                cu[w] = sum(cu[x] for x in iter_bits(g.adj[w] & lv[k - 1]))
+    # Levels are disjoint, so the sum of the meets is their union.
+    interval = [
+        [sum(lu[k] & lv[d - k] for k in range(d + 1)) for lv, d in zip(levels, dist[u])]
+        for u, lu in enumerate(levels)
+    ]
+    return max(map(len, levels)) - 1, interval, count
 
 
 def is_geodesic(g: Graph, path: Path) -> bool:

@@ -3,25 +3,33 @@
 Cardinality-ascending subset search: sizes grow from the best known
 lower bound, subsets of each size are enumerated lexicographically
 (always containing every degree-1 vertex), and the first subset that
-admits a covering geodesic assignment wins.  Candidate subsets may be
-evaluated in parallel blocks, but the reported witness is always the
-lexicographically first success of the first successful size.
+admits a covering geodesic assignment wins.
+
+A strong geodetic set is first of all a geodetic set: the union I[S] of
+its vertices' pairwise intervals must be every vertex.  The enumeration
+grows I[S] as it adds vertices, from one table of intervals per call,
+and runs the decision search only on sets with I[S] = V.  This skips no
+success: the search covers at most I[S], and fails at once otherwise.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from typing import Iterable, Iterator, Optional
+from itertools import combinations
+from typing import Optional
 
 from .errors import Disconnected, DiameterTooSmall, SizeLimitExceeded
-from .graph import DEFAULT_GEODESIC_CAP, Graph, diameter, is_connected
+from .graph import (
+    DEFAULT_GEODESIC_CAP,
+    Graph,
+    diameter,
+    geodesic_table,
+    is_connected,
+)
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
 from .verify import Witness, _PairCache, _search, make_witness
 
 DEFAULT_MAX_VERTICES = 20
-
-_BLOCK_SIZE = 64
 
 
 def lower_bound_general(g: Graph) -> int:
@@ -54,39 +62,15 @@ def _complete_witness(g: Graph) -> Witness:
     return make_witness(sel, pair_paths)
 
 
-def _subsets_with_forced(free: list[int], forced: list[int], t: int) -> Iterator[list[int]]:
-    """Size-t subsets containing all forced vertices, in lexicographic
-    order of the full sorted subset."""
-    extra = t - len(forced)
-    if extra < 0:
-        return
-    if extra == 0:
-        yield sorted(forced)
-        return
-    for combo in combinations(free, extra):
-        yield sorted(forced + list(combo))
-
-
-def _chunked(it: Iterable, size: int) -> Iterator[list]:
-    it = iter(it)
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
-
-
 def sg_exact(
     g: Graph,
     cap: int = DEFAULT_GEODESIC_CAP,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    threads: int = 1,
 ) -> SgResult:
     """Exact strong geodetic number with a verified witness.
 
     ``max_vertices`` is a soft safety limit (raise it explicitly for
-    bigger instances).  ``threads`` controls block-parallel candidate
-    evaluation; results are identical for any thread count.
+    bigger instances).
     """
     if g.n == 0 or not is_connected(g):
         raise Disconnected("exact solver needs a connected, nonempty graph")
@@ -96,7 +80,7 @@ def sg_exact(
         )
     if g.n == 1:
         return SgResult(1, "exact", witness=Witness((0,), ()))
-    d = diameter(g)
+    d, interval, count = geodesic_table(g)
     if d <= 1:
         # Complete graph: geodesics are single edges and cover nothing new.
         return SgResult(g.n, "exact", witness=_complete_witness(g))
@@ -105,51 +89,35 @@ def sg_exact(
     free = [v for v in range(g.n) if v not in set(forced)]
     start = max(_lower_bound(g.n, d), len(forced), 2)
     cache = _PairCache(g, cap)
+    full = (1 << g.n) - 1
+    # rows[w][u] is the interval I(u, w), plus bit n when u and w are joined
+    # by more than ``cap`` geodesics.  A set whose closure has bit n goes to
+    # the search, whose pair cache then raises GeodesicExplosion for the
+    # set's first such pair, as it does for any set that meets one.
+    rows = [
+        [iv | (c > cap) << g.n for iv, c in zip(irow, crow)]
+        for irow, crow in zip(interval, count)
+    ]
 
+    def walk(i: int, left: int, chosen: list[int], closure: int) -> Optional[Witness]:
+        if not left:
+            return _search(g, sorted(chosen), cache) if closure >= full else None
+        for j in range(i, len(free) - left + 1):
+            w = free[j]
+            row = rows[w]
+            grown = closure | 1 << w
+            for u in chosen:
+                grown |= row[u]
+            found = walk(j + 1, left - 1, chosen + [w], grown)
+            if found is not None:
+                return found
+        return None
+
+    closure = sum(1 << w for w in forced)
+    for u, v in combinations(forced, 2):
+        closure |= rows[u][v]
     for t in range(start, g.n + 1):
-        candidates = _subsets_with_forced(free, forced, t)
-        found = _first_success(g, candidates, cache, threads)
+        found = walk(0, t - len(forced), forced, closure)
         if found is not None:
             return SgResult(t, "exact", witness=found)
     raise AssertionError("search must succeed at t = |V|")
-
-
-def _first_success(
-    g: Graph, candidates: Iterator[list[int]], cache: _PairCache, threads: int
-) -> Optional[Witness]:
-    if threads <= 1:
-        for sel in candidates:
-            w = _search(g, sel, cache)
-            if w is not None:
-                return w
-        return None
-
-    def eval_block(block: list[list[int]]) -> Optional[Witness]:
-        for sel in block:
-            w = _search(g, sel, cache)
-            if w is not None:
-                return w
-        return None
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Keep a bounded window of blocks in flight; consume results in
-    # submission order so the reduction is deterministic.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = []
-        blocks = _chunked(candidates, _BLOCK_SIZE)
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < threads * 2:
-                block = next(blocks, None)
-                if block is None:
-                    exhausted = True
-                    break
-                pending.append(pool.submit(eval_block, block))
-            if not pending:
-                return None
-            result = pending.pop(0).result()
-            if result is not None:
-                for fut in pending:
-                    fut.cancel()
-                return result

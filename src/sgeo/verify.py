@@ -132,6 +132,8 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
             reason = "endpoints do not match pair"
         elif len(set(path)) != len(path):
             reason = "repeated vertex"
+        elif min(path) < 0 or max(path) >= g.n:
+            reason = "vertex not in graph"
         elif any(not g.has_edge(x, y) for x, y in zip(path, path[1:])):
             reason = "non-adjacent step"
         else:
@@ -252,7 +254,11 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
             failed.add(state)
         return False
 
-    if not rec(0, covered0):
+    found = rec(0, covered0)
+    # rec holds itself through its closure; dropping it frees the memo now
+    # instead of at the next cyclic garbage collection.
+    del rec
+    if not found:
         return None
     pair_paths = {
         pairs[i]: list(entries[i][0][choice[i]]) for i in range(k)

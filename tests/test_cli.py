@@ -54,13 +54,39 @@ class TestExact:
         assert code == 3
         assert json.loads(err)["payload"]["code"] == "Disconnected"
 
-    def test_threads_agree(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "gen", "crown", "4")
-        graph_file = tmp_path / "c4.txt"
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["--cap", "0"], None),
+            (["--cap", "-5"], None),
+            (["--max-size", "-1"], None),
+            (["--max-size", "0"], None),
+            ([], "abc"),
+            ([], "0"),
+            ([], "2.5"),
+        ],
+        ids=["cap-0", "cap-negative", "max-size-negative", "max-size-0",
+             "env-word", "env-0", "env-float"],
+    )
+    def test_limits_must_be_positive(self, capsys, tmp_path, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("SG_GEODESIC_CAP", env)
+        _, out, _ = run(capsys, "gen", "hypercube", "3")
+        graph_file = tmp_path / "q3.txt"
         graph_file.write_text(out)
-        _, out1, _ = run(capsys, "exact", str(graph_file), "--threads", "1")
-        _, out4, _ = run(capsys, "exact", str(graph_file), "--threads", "4")
-        assert out1 == out4
+        code, out, err = run(capsys, "exact", str(graph_file), *argv)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error"
+        assert "must be a positive integer" in doc["payload"]["message"]
+
+    def test_cap_flag_overrides_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SG_GEODESIC_CAP", "abc")
+        _, out, _ = run(capsys, "gen", "hypercube", "3")
+        graph_file = tmp_path / "q3.txt"
+        graph_file.write_text(out)
+        code, out, _ = run(capsys, "exact", str(graph_file), "--cap", "6")
+        assert code == 0 and json.loads(out)["value"] == 4
 
 
 class TestFormula:
@@ -165,6 +191,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(graph_file), str(witness_file))
         assert code == 4
         assert json.loads(out)["uncovered_vertices"] == [4]
+
+    def test_path_vertex_outside_graph(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "gen", "hypercube", "2")
+        graph_file = tmp_path / "q2.txt"
+        graph_file.write_text(out)
+        witness_file = tmp_path / "w.json"
+        doc = {"set": [0, 3], "assignment": [{"u": 0, "v": 3, "path": [0, -1, 3]}]}
+        witness_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(graph_file), str(witness_file))
+        # A verification that ran and did not cover exits 4, with no error.
+        assert code == 4 and err == ""
+        report = json.loads(out)
+        assert report["covered"] is False
+        assert report["invalid_paths"] == [
+            {"pair": [0, 3], "reason": "vertex not in graph"}
+        ]
 
     def test_single_vertex_graph(self, capsys, tmp_path):
         graph_file = tmp_path / "one.txt"

@@ -15,6 +15,7 @@ from sgeo import (
     enumerate_geodesics,
     graph_from_edges,
 )
+from sgeo.graph import geodesic_table
 
 nx = pytest.importorskip("networkx")
 
@@ -73,3 +74,16 @@ def test_geodesics(seed):
             with pytest.raises(GeodesicExplosion):
                 enumerate_geodesics(g, u, v, cap=len(expected) - 1)
             assert len(enumerate_geodesics(g, u, v, cap=len(expected))) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "seed", [s for s in SEEDS if nx.is_connected(random_graph(s)[1])]
+)
+def test_geodesic_table(seed):
+    g, oracle = random_graph(seed)
+    d, interval, count = geodesic_table(g)
+    assert d == nx.diameter(oracle)
+    for u, v in itertools.permutations(range(g.n), 2):
+        paths = list(nx.all_shortest_paths(oracle, u, v))
+        assert interval[u][v] == sum(1 << w for w in set().union(*paths))
+        assert count[u][v] == count_geodesics(g, u, v) == len(paths)

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from sgeo import (
     DiameterTooSmall,
     Disconnected,
+    GeodesicExplosion,
     SizeLimitExceeded,
     complete_bipartite,
     crown,
@@ -17,6 +19,9 @@ from sgeo import (
     sg_exact,
     verify_witness,
 )
+from sgeo.graph import diameter, geodesic_table
+from sgeo.solver import _complete_witness, _lower_bound
+from sgeo.verify import _PairCache, _search
 
 
 def path_graph(n):
@@ -135,15 +140,6 @@ class TestExactProperties:
                 pass  # diameter may still be 1 only for complete graphs
             assert verify_witness(g, res.witness).covered
 
-    def test_thread_count_invariance(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            g = random_connected_graph(rng)
-            r1 = sg_exact(g, threads=1)
-            r4 = sg_exact(g, threads=4)
-            assert r1.value == r4.value
-            assert r1.witness == r4.witness
-
     def test_lower_bound_respected(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -153,3 +149,67 @@ class TestExactProperties:
             except DiameterTooSmall:
                 lb = g.n
             assert lb <= sg_exact(g).value
+
+
+def subsets_with_forced(free, forced, t):
+    """Size-t sets holding every forced vertex, in lexicographic order."""
+    for combo in combinations(free, t - len(forced)):
+        yield sorted(forced + list(combo))
+
+
+def reference_exact(g, cap, rejected):
+    """sg_exact without the closure filter: the decision search on every
+    candidate set.  Sets whose interval closure is not V are collected in
+    ``rejected`` with the search's verdict on them."""
+    if diameter(g) <= 1:
+        return g.n, _complete_witness(g)
+    _, interval, _ = geodesic_table(g)
+    forced = sorted(v for v in range(g.n) if g.degree(v) == 1)
+    free = [v for v in range(g.n) if v not in forced]
+    cache = _PairCache(g, cap)
+    start = max(_lower_bound(g.n, diameter(g)), len(forced), 2)
+    for t in range(start, g.n + 1):
+        for sel in subsets_with_forced(free, forced, t):
+            closure = sum(1 << v for v in sel)
+            for u, v in combinations(sel, 2):
+                closure |= interval[u][v]
+            w = _search(g, sel, cache)
+            if closure != (1 << g.n) - 1:
+                rejected.append(w)
+            if w is not None:
+                return t, w
+    raise AssertionError("search must succeed at t = |V|")
+
+
+def outcome(solve):
+    try:
+        return solve()
+    except GeodesicExplosion as exc:
+        return str(exc)
+
+
+class TestClosureFilter:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_loop(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(5, 11)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = graph_from_edges(n, edges)
+        for cap in (10**6, 2, 1):
+            rejected = []
+            expected = outcome(lambda: reference_exact(g, cap, rejected))
+            assert all(w is None for w in rejected)
+            got = outcome(lambda: sg_exact(g, cap=cap))
+            if isinstance(expected, str):
+                assert got == expected, cap
+            else:
+                assert (got.value, got.witness) == expected, cap
+
+    def test_explosion_message(self):
+        # The message sg_exact gave before the closure filter existed.
+        with pytest.raises(GeodesicExplosion) as exc:
+            sg_exact(hypercube(3), cap=2)
+        assert str(exc.value) == "6 geodesics between 1 and 6 exceed cap 2"

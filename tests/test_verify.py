@@ -92,6 +92,14 @@ class TestVerifyWitness:
         report = verify_witness(Q3, make_witness(FIG_SET, paths))
         assert ((5, 7), "endpoints do not match pair") in report.invalid_paths
 
+    @pytest.mark.parametrize("inner", [-1, 99])
+    def test_path_vertex_outside_graph(self, inner):
+        paths = dict(FIG_PATHS)
+        paths[(0, 5)] = [0, inner, 5]
+        report = verify_witness(Q3, make_witness(FIG_SET, paths))
+        assert report.invalid_paths == [((0, 5), "vertex not in graph")]
+        assert not report.covered
+
     def test_missing_pair_raises(self):
         paths = {k: v for k, v in FIG_PATHS.items() if k != (5, 6)}
         w = Witness(tuple(FIG_SET), make_witness(FIG_SET, paths).assignment)
