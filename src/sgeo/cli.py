@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path as FilePath
 
 from . import construct, formulas, graph, solver, verify
@@ -165,7 +166,7 @@ def cmd_construct(args) -> int:
         "report": built.report,
     }
     if built.plan is not None:
-        doc["plan"] = built.plan.to_dict()
+        doc["plan"] = asdict(built.plan)
     if args.verify:
         doc["coverage"] = verify.report_to_dict(built.coverage)
     _emit(doc)

@@ -1,7 +1,8 @@
 """Witness builders that realize the closed-form values constructively.
 
-Every builder returns a verified witness; a construction that cannot
-cover the graph is a bug, not a soft failure.  The hypercube builders
+Every builder returns a witness verified once; a construction that
+cannot cover the graph is a bug, not a soft failure, so it raises
+AssignmentInfeasible and is never repaired.  The hypercube builders
 follow the two-block template (a spread of suffix-zero vertices plus a
 top sub-block), with the improved variant thinning the top block along
 a family of internally disjoint diagonal paths.
@@ -16,14 +17,8 @@ from typing import Optional
 
 from .errors import AssignmentInfeasible, OutOfRange
 from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
-from .graph import Path, complete_bipartite, crown, hypercube
-from .verify import (
-    CoverageReport,
-    Witness,
-    is_strong_geodetic_set,
-    make_witness,
-    verify_witness,
-)
+from .graph import Graph, Path, complete_bipartite, crown, hypercube
+from .verify import CoverageReport, Witness, make_witness, verify_witness
 
 MAX_CONSTRUCTION_DIM = 14
 
@@ -44,20 +39,6 @@ class HypercubeConstructionPlan:
     y_list: list[int] = field(default_factory=list)
     path_system: list[Path] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n0": self.n0,
-            "P": list(self.P),
-            "Q": list(self.Q),
-            "F": list(self.F),
-            "u": self.u,
-            "v": self.v,
-            "x_list": list(self.x_list),
-            "y_list": list(self.y_list),
-            "path_system": [list(p) for p in self.path_system],
-        }
-
 
 @dataclass
 class ConstructionResult:
@@ -71,6 +52,28 @@ class ConstructionResult:
 
 def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _verified(
+    g: Graph,
+    sel: list[int],
+    pair_paths: dict[tuple[int, int], Path],
+    target: int,
+    plan: Optional[HypercubeConstructionPlan] = None,
+) -> ConstructionResult:
+    """The witness of sel and its routes, verified once; raises
+    AssignmentInfeasible when it does not cover g."""
+    witness = make_witness(sel, pair_paths)
+    coverage = verify_witness(g, witness)
+    if not coverage.covered:
+        raise AssignmentInfeasible(
+            f"witness on {g!r} failed verification: "
+            f"{len(coverage.uncovered_vertices)} vertices uncovered, "
+            f"invalid paths {coverage.invalid_paths[:3]}"
+        )
+    # The templates cover without repair; the field keeps the report layout.
+    report = {"target_size": target, "achieved_size": witness.size(), "repairs": 0}
+    return ConstructionResult(witness, report, coverage, plan)
 
 
 def canonical_path(u: int, v: int, n: int) -> Path:
@@ -124,12 +127,7 @@ def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
         for j in ys:
             pair_paths[(i, j)] = [i, j]
 
-    witness = make_witness(xs + ys, pair_paths)
-    coverage = verify_witness(g, witness)
-    if not coverage.covered:
-        raise AssignmentInfeasible("bipartite witness failed verification")
-    report = {"target_size": opt.value, "achieved_size": witness.size(), "repairs": 0}
-    return ConstructionResult(witness, report, coverage)
+    return _verified(g, xs + ys, pair_paths, opt.value)
 
 
 def build_crown_witness(n: int) -> ConstructionResult:
@@ -137,8 +135,7 @@ def build_crown_witness(n: int) -> ConstructionResult:
 
     Greedy assignment: matched pairs take length-3 routes covering one
     new vertex per side, same-side pairs take length-2 routes through
-    new middles; if the greedy strands a vertex the exact search over
-    the same set provides the assignment.
+    new middles while any are left.
     """
     if n < 3:
         raise OutOfRange(f"need n >= 3, got {n}")
@@ -151,68 +148,40 @@ def build_crown_witness(n: int) -> ConstructionResult:
     new_y = set(range(q, n))
     pair_paths: dict[tuple[int, int], Path] = {}
 
-    def take_x(blocked: set[int]) -> Optional[int]:
-        cands = sorted(new_x - blocked)
-        if cands:
-            new_x.discard(cands[0])
-            return cands[0]
-        return None
-
-    def take_y(blocked: set[int]) -> Optional[int]:
-        cands = sorted(new_y - blocked)
-        if cands:
-            new_y.discard(cands[0])
-            return cands[0]
-        return None
+    def take(pool: set[int], blocked: set[int]) -> int:
+        """Smallest side index of pool outside blocked, taken from pool;
+        once pool has none, the smallest index outside blocked."""
+        fresh = pool - blocked
+        if fresh:
+            c = min(fresh)
+            pool.discard(c)
+            return c
+        return next(a for a in range(n) if a not in blocked)
 
     # Matched cross pairs x_i, y_i need length-3 routes x_i ~ y_s ~ x_t ~ y_i
-    # with s != i and t not in {i, s}; pick fresh s, t where possible.
+    # with s != i and t not in {i, s}, both fresh.
     for i in range(min(p, q)):
-        s = None
-        t = None
-        for s_cand in sorted(new_y - {i}):
-            t_opts = sorted(new_x - {i, s_cand})
-            if t_opts:
-                s, t = s_cand, t_opts[0]
-                new_y.discard(s)
-                new_x.discard(t)
+        for s in sorted(new_y - {i}):
+            if new_x - {i, s}:
                 break
-        if s is None:
-            s = take_y({i})
-            if s is None:
-                s = next(j for j in range(n) if j != i)
-            t = take_x({i, s})
-            if t is None:
-                t = next(j for j in range(n) if j not in (i, s))
+        else:
+            raise AssignmentInfeasible(f"crown({n}): no fresh route for matched pair {i}")
+        new_y.discard(s)
+        t = take(new_x, {i, s})
         pair_paths[_pair(i, n + i)] = [i, n + s, t, n + i]
 
     for i, j in combinations(range(q), 2):
-        t = take_x({i, j})
-        if t is None:
-            t = next(a for a in range(n) if a not in (i, j))
-        pair_paths[_pair(n + i, n + j)] = [n + i, t, n + j]
+        pair_paths[_pair(n + i, n + j)] = [n + i, take(new_x, {i, j}), n + j]
 
     for i, j in combinations(range(p), 2):
-        s = take_y({i, j})
-        if s is None:
-            s = next(b for b in range(n) if b not in (i, j))
-        pair_paths[_pair(i, j)] = [i, n + s, j]
+        pair_paths[_pair(i, j)] = [i, n + take(new_y, {i, j}), j]
 
     for i in range(p):
         for j in range(q):
             if i != j:
                 pair_paths[_pair(i, n + j)] = [i, n + j]
 
-    witness = make_witness(sel, pair_paths)
-    coverage = verify_witness(g, witness)
-    if not coverage.covered:
-        # The optimum is guaranteed achievable on this split; search for it.
-        witness = is_strong_geodetic_set(g, sel)
-        if witness is None:
-            raise AssignmentInfeasible("crown witness failed verification")
-        coverage = verify_witness(g, witness)
-    report = {"target_size": res.value, "achieved_size": witness.size(), "repairs": 0}
-    return ConstructionResult(witness, report, coverage)
+    return _verified(g, sel, pair_paths, res.value)
 
 
 def _hypercube_frame(n: int, n0: int):
@@ -257,26 +226,9 @@ def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
     for a, b in combinations(Q, 2):
         pair_paths[_pair(a, b)] = canonical_path(a, b, n)
 
-    witness = make_witness(P + Q, pair_paths)
-    coverage = verify_witness(g, witness)
-    if not coverage.covered:
-        raise AssignmentInfeasible("basic hypercube witness failed verification")
     target = 2 ** (n - n0) + 2 ** (n0 - 1)
     plan = HypercubeConstructionPlan(n=n, n0=n0, P=sorted(P), Q=sorted(Q))
-    report = {"target_size": target, "achieved_size": witness.size(), "repairs": 0}
-    return ConstructionResult(witness, report, coverage, plan)
-
-
-def _ltr_chain(d: int, c: int) -> list[int]:
-    """Fill sequence from the zero suffix to c, left to right."""
-    seq = [0]
-    w = 0
-    for pos in range(d - 1, -1, -1):
-        b = 1 << pos
-        if c & b:
-            w ^= b
-            seq.append(w)
-    return seq
+    return _verified(g, P + Q, pair_paths, target, plan)
 
 
 def _boundary_chains(
@@ -301,7 +253,7 @@ def _boundary_chains(
         chain_map[ys[i]] = (seqs[i][: d - 1], 1)
     for c in q_suffixes:
         if c not in chain_map:
-            chain = _ltr_chain(d, c)
+            chain = canonical_path(0, c, d)
             chain_map[c] = (chain, len(chain) - 1)
     return chain_map
 
@@ -332,11 +284,8 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
     spread-to-block pairs place the block-boundary crossing at a chosen
     point of each suffix chain: chains along the diagonal paths cross
     early (covering the removed interiors on the far side), all others
-    cross at their endpoint.  The verifier has the final word; if any
-    vertex stays uncovered, removed vertices are reinserted greedily
-    (largest marginal coverage first) and, failing that, uncovered
-    vertices join the set directly.  The report carries the formula
-    target, the achieved size, and the number of repairs.
+    cross at their endpoint.  The report carries the formula target and
+    the achieved size.
     """
     if not 4 <= n0 <= n:
         raise OutOfRange(f"need 4 <= n0 <= n, got n0={n0}, n={n}")
@@ -377,51 +326,6 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
         if _pair(a, b) not in pair_paths:
             pair_paths[_pair(a, b)] = canonical_path(a, b, n)
 
-    witness = make_witness(sel, pair_paths)
-    coverage = verify_witness(g, witness)
-    repairs = 0
-    remaining_f = list(F_suffixes)
-    members = set(sel)
-    p_set = set(P)
-
-    def add_vertex(w: int) -> None:
-        for s in sorted(members):
-            key = _pair(s, w)
-            if s in p_set and (w & ~suffix_mask) == top and (w & suffix_mask) in chain_map:
-                pair_paths[key] = route(s, w & suffix_mask)
-            else:
-                pair_paths[key] = canonical_path(s, w, n)
-        members.add(w)
-
-    while not coverage.covered:
-        if coverage.invalid_paths:
-            raise AssignmentInfeasible(f"invalid paths: {coverage.invalid_paths[:3]}")
-        uncovered = set(coverage.uncovered_vertices)
-        best_f = None
-        best_gain = -1
-        for f in remaining_f:
-            qf = top | f
-            chain = _ltr_chain(D, f)
-            gained = {qf}
-            for pv in P:
-                trial = [pv | gamma for gamma in chain] + [pv | f | mid]
-                trial += canonical_path(trial[-1], qf, n)[1:]
-                gained.update(trial)
-            gain = len(gained & uncovered)
-            if gain > best_gain:
-                best_gain = gain
-                best_f = f
-        if best_f is not None and best_gain > 0:
-            remaining_f.remove(best_f)
-            chain = _ltr_chain(D, best_f)
-            chain_map[best_f] = (chain, len(chain) - 1)
-            add_vertex(top | best_f)
-        else:
-            add_vertex(min(uncovered))
-        repairs += 1
-        witness = make_witness(sorted(members), pair_paths)
-        coverage = verify_witness(g, witness)
-
     target = 2 ** (n - n0) + 2 ** (n0 - 1) - (n0 - 2) * (n0 - 3)
     plan = HypercubeConstructionPlan(
         n=n,
@@ -435,9 +339,4 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
         y_list=[top | y for y in ys],
         path_system=[[top | c for c in seq] for seq in seqs],
     )
-    report = {
-        "target_size": target,
-        "achieved_size": witness.size(),
-        "repairs": repairs,
-    }
-    return ConstructionResult(witness, report, coverage, plan)
+    return _verified(g, sel, pair_paths, target, plan)

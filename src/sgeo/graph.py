@@ -15,7 +15,7 @@ all-pairs interval table of the exact solver are all read off its levels.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionTooLarge,
@@ -31,7 +31,8 @@ Path = list[int]
 
 DEFAULT_GEODESIC_CAP = 10**6
 
-MAX_HYPERCUBE_DIM = 24
+# Adjacency rows take about n^2 / 8 bytes, so this budget is 128 MiB.
+MAX_VERTICES = 1 << 15
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -103,6 +104,12 @@ class Graph:
         return str(v)
 
 
+def _check_order(n: int, what: str) -> None:
+    """Reject a graph of more than MAX_VERTICES vertices before allocating it."""
+    if n > MAX_VERTICES:
+        raise DimensionTooLarge(f"{what} has {n} vertices, more than the limit {MAX_VERTICES}")
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], family: Optional[tuple] = None) -> Graph:
     rows = [0] * n
     for u, v in edges:
@@ -118,10 +125,12 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], family: Optional[
 def hypercube(n: int) -> Graph:
     """Hypercube on 2^n vertices; i ~ j iff they differ in exactly one bit.
 
-    Memory grows as 4^n, so dimensions above MAX_HYPERCUBE_DIM are rejected.
+    Memory grows as 4^n, so cubes of more than MAX_VERTICES vertices are
+    rejected.
     """
-    if n < 0 or n > MAX_HYPERCUBE_DIM:
-        raise DimensionTooLarge(f"hypercube dimension {n} outside [0, {MAX_HYPERCUBE_DIM}]")
+    max_dim = MAX_VERTICES.bit_length() - 1
+    if not 0 <= n <= max_dim:
+        raise DimensionTooLarge(f"hypercube dimension {n} outside [0, {max_dim}]")
     size = 1 << n
     rows = []
     for v in range(size):
@@ -136,6 +145,7 @@ def complete_bipartite(n: int, m: int) -> Graph:
     """K_{n,m} with X = 0..n-1 and Y = n..n+m-1."""
     if n < 1 or m < 1:
         raise ParseError("both sides must be nonempty")
+    _check_order(n + m, f"K({n},{m})")
     x_mask = (1 << n) - 1
     y_mask = ((1 << m) - 1) << n
     rows = [y_mask] * n + [x_mask] * m
@@ -149,6 +159,7 @@ def crown(n: int) -> Graph:
     """
     if n < 3:
         raise DisconnectedFamily(f"crown({n}) is disconnected; need n >= 3")
+    _check_order(2 * n, f"crown({n})")
     rows = []
     y_all = ((1 << n) - 1) << n
     x_all = (1 << n) - 1
@@ -184,6 +195,7 @@ def from_edge_list(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer header field") from None
             if n < 0 or declared < 0:
                 raise ParseError(f"line {lineno}: negative header field")
+            _check_order(n, f"line {lineno}: the header")
         elif fields[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -358,15 +370,29 @@ def geodesic_table(g: Graph) -> tuple[int, list[list[int]], list[list[int]]]:
     return max(map(len, levels)) - 1, interval, count
 
 
+def path_defect(
+    g: Graph, path: Sequence[int], levels: Optional[list[int]] = None
+) -> Optional[str]:
+    """Why the nonempty ``path`` is not a shortest path of g, or None.
+
+    ``levels`` are the BFS levels from ``path[0]`` when the caller keeps
+    them; a path with k edges is a shortest path iff its end is in level k.
+    """
+    if len(set(path)) != len(path):
+        return "repeated vertex"
+    if min(path) < 0 or max(path) >= g.n:
+        return "vertex not in graph"
+    adj = g.adj
+    if any(not adj[a] >> b & 1 for a, b in zip(path, path[1:])):
+        return "non-adjacent step"
+    if levels is None:
+        levels = bfs_levels(g, path[0], 1 << path[-1])
+    k = len(path) - 1
+    if k >= len(levels) or not levels[k] >> path[-1] & 1:
+        return "not a shortest path"
+    return None
+
+
 def is_geodesic(g: Graph, path: Path) -> bool:
     """True iff path is a shortest path of g (adjacency, no repeats, length)."""
-    if not path:
-        return False
-    if len(set(path)) != len(path):
-        return False
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            return False
-    if len(path) == 1:
-        return True
-    return len(bfs_levels(g, path[0], 1 << path[-1])) == len(path)
+    return bool(path) and path_defect(g, path) is None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .verify import Witness, witness_to_dict
@@ -27,20 +27,6 @@ class FormulaTrace:
     F_at: Optional[int] = None
     G_at: Optional[int] = None
     s_at: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "case_label": self.case_label,
-            "k_star": self.k_star,
-            "ceil_x_star": self.ceil_x_star,
-            "f_at": self.f_at,
-            "g_at": self.g_at,
-            "F_at": self.F_at,
-            "G_at": self.G_at,
-            "s_at": self.s_at,
-        }
 
 
 @dataclass(frozen=True)
@@ -68,6 +54,6 @@ class SgResult:
             "value": self.value,
             "method": self.method,
             "witness": witness_to_dict(self.witness) if self.witness else None,
-            "trace": self.trace.to_dict() if self.trace else None,
+            "trace": asdict(self.trace) if self.trace else None,
             "split": [self.split.p, self.split.q] if self.split else None,
         }

@@ -24,6 +24,7 @@ from .graph import (
     bfs_levels,
     enumerate_geodesics,
     is_connected,
+    path_defect,
 )
 
 
@@ -126,23 +127,15 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
     invalid: list[tuple[tuple[int, int], str]] = []
     for a in w.assignment:
         key = (min(a.u, a.v), max(a.u, a.v))
-        path = list(a.path)
-        reason = None
+        path = a.path
         if len(path) < 2 or {path[0], path[-1]} != {a.u, a.v}:
             reason = "endpoints do not match pair"
-        elif len(set(path)) != len(path):
-            reason = "repeated vertex"
-        elif min(path) < 0 or max(path) >= g.n:
-            reason = "vertex not in graph"
-        elif any(not g.has_edge(x, y) for x, y in zip(path, path[1:])):
-            reason = "non-adjacent step"
         else:
+            # path[0] is a selected vertex, so it is in the graph.
             levels = levels_from.get(path[0])
             if levels is None:
                 levels = levels_from[path[0]] = bfs_levels(g, path[0])
-            k = len(path) - 1
-            if k >= len(levels) or not levels[k] >> path[-1] & 1:
-                reason = "not a shortest path"
+            reason = path_defect(g, path, levels)
         if reason is not None:
             invalid.append((key, reason))
         else:

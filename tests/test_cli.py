@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sgeo import construct
 from sgeo.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +35,11 @@ class TestGen:
         assert doc["status"] == "error"
         assert doc["payload"]["code"] == "DisconnectedFamily"
 
+    def test_oversized_graph_is_rejected(self, capsys):
+        code, out, err = run(capsys, "gen", "kbipartite", "2000000000", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["payload"]["code"] == "DimensionTooLarge"
+
 
 class TestExact:
     def test_q3(self, capsys, tmp_path):
@@ -53,6 +59,13 @@ class TestExact:
         code, out, err = run(capsys, "exact", str(graph_file))
         assert code == 3
         assert json.loads(err)["payload"]["code"] == "Disconnected"
+
+    def test_oversized_header_is_rejected(self, capsys, tmp_path):
+        graph_file = tmp_path / "huge.txt"
+        graph_file.write_text("p 2000000000 0\n")
+        code, out, err = run(capsys, "exact", str(graph_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["payload"]["code"] == "DimensionTooLarge"
 
     @pytest.mark.parametrize(
         "argv, env",
@@ -147,6 +160,21 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["report"]["target_size"] == 18
         assert doc["report"]["achieved_size"] == 19
+
+    def test_assignment_infeasible_exits_3(self, capsys, monkeypatch):
+        real = construct.verify_witness
+
+        def verify_witness_uncovered(g, w):
+            report = real(g, w)
+            report.covered = False
+            return report
+
+        monkeypatch.setattr(construct, "verify_witness", verify_witness_uncovered)
+        code, out, err = run(capsys, "construct", "crown", "5")
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error"
+        assert doc["payload"]["code"] == "AssignmentInfeasible"
 
 
 class TestVerify:

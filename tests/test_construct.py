@@ -2,6 +2,7 @@ import pytest
 
 from sgeo import construct
 from sgeo import (
+    AssignmentInfeasible,
     OutOfRange,
     build_bipartite_witness,
     build_crown_witness,
@@ -75,24 +76,22 @@ class TestCrownWitness:
         with pytest.raises(OutOfRange):
             build_crown_witness(2)
 
-    def test_search_fallback_is_verified(self, monkeypatch):
-        # Make the greedy assignment read as uncovered, so the builder falls
-        # back to the exact search; the witness it returns must be verified.
+    def test_uncovered_witness_raises(self, monkeypatch):
+        # A witness the verifier reports as uncovered is a builder bug:
+        # it raises after the one verification, with no search fallback.
         real = construct.verify_witness
         checked = []
 
-        def verify_witness_once_uncovered(g, w):
+        def verify_witness_uncovered(g, w):
             checked.append(w)
             report = real(g, w)
-            if len(checked) == 1:
-                report.covered = False
+            report.covered = False
             return report
 
-        monkeypatch.setattr(construct, "verify_witness", verify_witness_once_uncovered)
-        built = build_crown_witness(5)
-        assert len(checked) == 2 and checked[1] == built.witness
-        assert built.coverage.covered
-        assert built.witness.size() == sg_crown(5).value
+        monkeypatch.setattr(construct, "verify_witness", verify_witness_uncovered)
+        with pytest.raises(AssignmentInfeasible):
+            build_crown_witness(5)
+        assert len(checked) == 1
 
 
 def test_builders_keep_their_coverage_report():
@@ -172,8 +171,7 @@ class TestHypercubeImproved:
 
     def test_achieved_close_to_target(self):
         # The deep-interior removal keeps one more vertex than the
-        # stated count; the verifier passes at target + 1 with no
-        # repair reinsertions.
+        # stated count; the verifier passes at target + 1.
         for n, n0 in [(4, 4), (6, 4), (8, 5), (9, 5)]:
             built = build_hypercube_improved(n, n0)
             assert built.report["achieved_size"] == built.report["target_size"] + 1
@@ -211,23 +209,18 @@ class TestHypercubeImproved:
         with pytest.raises(OutOfRange):
             build_hypercube_improved(15, 6)
 
-    def test_repair_loop_recovers_from_naive_routing(self, monkeypatch):
+    def test_naive_routing_raises(self, monkeypatch):
         # With every route crossing the boundary at its endpoint (no
         # early crossings along the diagonal paths), the removed
-        # suffixes leave far-side lines uncovered; the repair loop must
-        # reinsert them and still return a verified witness.
-        import sgeo.construct as construct_mod
-
+        # suffixes leave far-side lines uncovered; the builder raises
+        # instead of reinserting them.
         def naive_chains(d, seqs, q_suffixes):
             chains = {}
             for c in q_suffixes:
-                chain = construct_mod._ltr_chain(d, c)
+                chain = construct.canonical_path(0, c, d)
                 chains[c] = (chain, len(chain) - 1)
             return chains
 
-        monkeypatch.setattr(construct_mod, "_boundary_chains", naive_chains)
-        built = build_hypercube_improved(6, 4)
-        assert verify_witness(hypercube(6), built.witness).covered
-        assert built.report["repairs"] == len(built.plan.F) == 1
-        # All removals reinserted: back at the plain two-block size.
-        assert built.report["achieved_size"] == hypercube_upper_basic_at(6, 4)
+        monkeypatch.setattr(construct, "_boundary_chains", naive_chains)
+        with pytest.raises(AssignmentInfeasible, match="vertices uncovered"):
+            build_hypercube_improved(6, 4)

@@ -47,6 +47,15 @@ EXACT = {
     "crown(4)": (crown(4), "b6497205087781f797a2bfd628c56bf22c86c07e023ef07eaeddb511cbcd50a0"),
 }
 
+# Closed forms, bounds and the table, whose ``trace`` and bound fields
+# must keep their layout.
+PLAIN = {
+    "formula kbipartite 12 20": "4c174c49a7bb24500532fcef58c0c454f06adddc9538c180bcec0002a2ebbdce",
+    "formula crown 8": "c430f5cadb6795fd063d42a41ed18dcfd4f6d9025fda6244d006e9bc49f6b497",
+    "bounds hypercube 10": "2a19ad73b4b54c593be81436bcce04dc15086d5396b3b8eeca0055190b52267c",
+    "table --max-n 20 --format json": "c8f259bb300e8efe42d3feeecb4a21f5f520d80af9884eceeb2dc571ba074cbc",
+}
+
 
 def stdout_digest(capsys, *argv):
     code = main(list(argv))
@@ -75,3 +84,9 @@ def test_exact(capsys, tmp_path, name):
     graph_file.write_text(to_edge_list(g))
     _, got = stdout_digest(capsys, "exact", str(graph_file))
     assert got == digest
+
+
+@pytest.mark.parametrize("command", PLAIN)
+def test_plain(capsys, command):
+    _, got = stdout_digest(capsys, *command.split())
+    assert got == PLAIN[command]

@@ -19,9 +19,10 @@ from sgeo import (
     from_edge_list,
     graph_from_edges,
     hypercube,
+    is_geodesic,
     to_edge_list,
 )
-from sgeo.graph import bfs_levels
+from sgeo.graph import MAX_VERTICES, bfs_levels
 
 
 def brute_force_shortest_paths(g, u, v):
@@ -72,6 +73,17 @@ class TestGenerators:
     def test_hypercube_rejects_large(self):
         with pytest.raises(DimensionTooLarge):
             hypercube(25)
+
+    def test_vertex_budget_is_checked_before_allocating(self):
+        with pytest.raises(DimensionTooLarge):
+            hypercube(MAX_VERTICES.bit_length())
+        with pytest.raises(DimensionTooLarge):
+            complete_bipartite(2_000_000_000, 1)
+        with pytest.raises(DimensionTooLarge):
+            crown(MAX_VERTICES // 2 + 1)
+        with pytest.raises(DimensionTooLarge):
+            from_edge_list("p 2000000000 0\n")
+        assert from_edge_list(f"p {MAX_VERTICES} 0\n").n == MAX_VERTICES
 
     def test_hypercube_distance_is_popcount(self):
         for n in range(1, 6):
@@ -181,6 +193,21 @@ class TestEdgeList:
     )
     def test_round_trip(self, g):
         assert from_edge_list(to_edge_list(g)) == g
+
+
+class TestIsGeodesic:
+    def test_paths(self):
+        g = hypercube(2)
+        assert is_geodesic(g, [0, 1, 3])
+        assert is_geodesic(g, [2])
+        assert not is_geodesic(g, [])
+        assert not is_geodesic(g, [0, 1, 3, 2])  # not shortest
+        assert not is_geodesic(g, [0, 3])  # non-adjacent
+        assert not is_geodesic(g, [0, 1, 0])  # repeated
+
+    @pytest.mark.parametrize("path", [[0, -1], [5, 1]])
+    def test_vertex_outside_graph(self, path):
+        assert not is_geodesic(hypercube(2), path)
 
 
 class TestGeodesics:
