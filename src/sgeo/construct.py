@@ -17,10 +17,14 @@ from typing import Optional
 
 from .errors import AssignmentInfeasible, OutOfRange
 from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
+from .formulas import hypercube_upper_basic_at, hypercube_upper_improved_at
 from .graph import Graph, Path, complete_bipartite, crown, hypercube
 from .verify import CoverageReport, Witness, make_witness, verify_witness
 
 MAX_CONSTRUCTION_DIM = 14
+# Every pair of the set gets a routed path; build_hypercube_basic(10, 1)
+# has 513 vertices and 131,328 pairs.
+MAX_WITNESS_PAIRS = 1 << 18
 
 
 @dataclass
@@ -76,6 +80,12 @@ def _verified(
     return ConstructionResult(witness, report, coverage, plan)
 
 
+def _check_pairs(size: int) -> None:
+    """Reject a set of more than MAX_WITNESS_PAIRS pairs before routing."""
+    if size * (size - 1) // 2 > MAX_WITNESS_PAIRS:
+        raise OutOfRange(f"witness of {size} vertices has more than {MAX_WITNESS_PAIRS} pairs")
+
+
 def canonical_path(u: int, v: int, n: int) -> Path:
     """Geodesic from u to v flipping differing bits left to right in the
     length-n string (most significant bit first)."""
@@ -98,8 +108,6 @@ def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
     distinct unselected middles (injective greedy) and cross pairs as
     edges.
     """
-    if not 3 <= n <= m:
-        raise OutOfRange(f"need 3 <= n <= m, got ({n}, {m})")
     opt = sg_bipartite_opt(n, m)
     k = opt.trace.k_star
     l = max(f_val(n, k), g_val(m, k))
@@ -186,6 +194,8 @@ def build_crown_witness(n: int) -> ConstructionResult:
 
 def _hypercube_frame(n: int, n0: int):
     """Common geometry: spread P, suffix width, prefix mask, block anchor."""
+    if n > MAX_CONSTRUCTION_DIM:
+        raise OutOfRange(f"verification capped at n <= {MAX_CONSTRUCTION_DIM}")
     prefix_bits = n - n0
     suffix_mask = (1 << (n0 - 1)) - 1
     mid = 1 << (n0 - 1)
@@ -203,12 +213,10 @@ def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
     suffix on both sides of the block boundary; remaining pairs take
     canonical left-to-right geodesics.
     """
-    if not 1 <= n0 <= n:
-        raise OutOfRange(f"need 1 <= n0 <= n, got n0={n0}, n={n}")
-    if n > MAX_CONSTRUCTION_DIM:
-        raise OutOfRange(f"verification capped at n <= {MAX_CONSTRUCTION_DIM}")
-    g = hypercube(n)
+    target = hypercube_upper_basic_at(n, n0)
     P, suffix_mask, mid, top = _hypercube_frame(n, n0)
+    _check_pairs(target)
+    g = hypercube(n)
     Q = [top | c for c in range(suffix_mask + 1)]
 
     pair_paths: dict[tuple[int, int], Path] = {}
@@ -226,7 +234,6 @@ def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
     for a, b in combinations(Q, 2):
         pair_paths[_pair(a, b)] = canonical_path(a, b, n)
 
-    target = 2 ** (n - n0) + 2 ** (n0 - 1)
     plan = HypercubeConstructionPlan(n=n, n0=n0, P=sorted(P), Q=sorted(Q))
     return _verified(g, P + Q, pair_paths, target, plan)
 
@@ -287,13 +294,10 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
     cross at their endpoint.  The report carries the formula target and
     the achieved size.
     """
-    if not 4 <= n0 <= n:
-        raise OutOfRange(f"need 4 <= n0 <= n, got n0={n0}, n={n}")
-    if n > MAX_CONSTRUCTION_DIM:
-        raise OutOfRange(f"verification capped at n <= {MAX_CONSTRUCTION_DIM}")
+    target = hypercube_upper_improved_at(n, n0)
+    P, suffix_mask, mid, top = _hypercube_frame(n, n0)
     g = hypercube(n)
     D = n0 - 1
-    P, suffix_mask, mid, top = _hypercube_frame(n, n0)
     full = suffix_mask
 
     seqs = _diagonal_paths(D)
@@ -306,6 +310,7 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
     F_suffixes = sorted(on_paths - kept)
     f_set = set(F_suffixes)
     Q_suffixes = [c for c in range(full + 1) if c not in f_set]
+    _check_pairs(len(P) + len(Q_suffixes))
 
     chain_map = _boundary_chains(D, seqs, Q_suffixes)
 
@@ -326,7 +331,6 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
         if _pair(a, b) not in pair_paths:
             pair_paths[_pair(a, b)] = canonical_path(a, b, n)
 
-    target = 2 ** (n - n0) + 2 ** (n0 - 1) - (n0 - 2) * (n0 - 3)
     plan = HypercubeConstructionPlan(
         n=n,
         n0=n0,

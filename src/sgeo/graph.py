@@ -8,9 +8,11 @@ from the construction templates map directly onto integers.
 All distance questions go through one primitive, ``bfs_levels``: a BFS
 whose levels are bitsets, each found by OR-ing the adjacency rows of the
 previous level (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
-2013).  Distances, connectivity, the diameter, geodesic checks, the
-u-v interval that geodesic counting and enumeration walk, and the
-all-pairs interval table of the exact solver are all read off its levels.
+2013).  Distances, connectivity, the diameter and geodesic checks are
+read off its levels.  Every question about the geodesics themselves
+goes to ``Geodesics``, which keeps one DAG per source: the levels plus
+each vertex's geodesic count.  Counting, enumeration, intervals and the
+exact solver's options all read those DAGs.
 """
 
 from __future__ import annotations
@@ -225,18 +227,6 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _neighbourhood(adj: tuple[int, ...], mask: int) -> int:
-    """Union of the adjacency rows of the vertices in ``mask``."""
-    reach = 0
-    while mask:
-        # Clearing the top bit shrinks the int, which is cheaper than
-        # clearing the lowest on wide masks.
-        top = mask.bit_length() - 1
-        reach |= adj[top]
-        mask ^= 1 << top
-    return reach
-
-
 def bfs_levels(g: Graph, u: int, stop: int = 0) -> list[int]:
     """Level sets of a BFS from u: ``levels[k]`` is the bitset of the
     vertices at distance k, and the union of all levels is u's component.
@@ -251,7 +241,14 @@ def bfs_levels(g: Graph, u: int, stop: int = 0) -> list[int]:
     frontier = seen = 1 << u
     levels = [frontier]
     while not frontier & stop:
-        frontier = _neighbourhood(adj, frontier) & ~seen
+        reach = 0
+        while frontier:
+            # Clearing the top bit shrinks the int, which is cheaper than
+            # clearing the lowest on wide masks.
+            top = frontier.bit_length() - 1
+            reach |= adj[top]
+            frontier ^= 1 << top
+        frontier = reach & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -273,65 +270,98 @@ def is_connected(g: Graph) -> bool:
     return g.n > 0 and sum(bfs_levels(g, 0)) == (1 << g.n) - 1
 
 
-def _geodesic_interval(g: Graph, u: int, v: int) -> tuple[list[int], int]:
-    """The u-v interval by level, and the number of u-v geodesics.
+class Geodesics:
+    """The geodesic DAGs of one graph, one per source, each built on first use.
 
-    ``interval[k]`` is the bitset of vertices at distance k from u that
-    lie on some shortest u-v path.  One BFS from u stops at v's level; a
-    backward sweep keeps the level-k vertices adjacent to level k + 1 of
-    the interval.
+    The DAG from u is u's BFS levels plus, for every vertex w, its level
+    index ``dist[w]`` and ``sigma[w]``, the number of u-w geodesics: 1 at
+    u, and at level k the sum over w's neighbours in level k - 1 (the
+    sigma sweep of Brandes, J. Math. Sociol. 2001); sigma is 0 outside
+    u's component.
     """
-    if u == v:
-        raise ValueError("endpoints must differ")
-    if not 0 <= v < g.n:
-        raise IndexOutOfRange(f"vertex {v} out of range")
-    levels = bfs_levels(g, u, 1 << v)
-    if not levels[-1] >> v & 1:
-        raise Unreachable(f"no path between {u} and {v}")
-    adj = g.adj
-    d = len(levels) - 1
-    interval = [0] * (d + 1)
-    interval[d] = 1 << v
-    ways = {v: 1}
-    for k in range(d - 1, -1, -1):
-        nxt = interval[k + 1]
-        interval[k] = level = levels[k] & _neighbourhood(adj, nxt)
-        for w in iter_bits(level):
-            ways[w] = sum(ways[x] for x in iter_bits(adj[w] & nxt))
-    return interval, ways[u]
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.dags: list = [None] * g.n
+
+    def dag(self, u: int) -> tuple[list[int], list[int], list[int]]:
+        """(levels, dist, sigma) from u."""
+        dag = self.dags[u]
+        if dag is None:
+            adj = self.g.adj
+            levels = bfs_levels(self.g, u)
+            dist = [0] * self.g.n
+            sigma = [0] * self.g.n
+            sigma[u] = 1
+            for k in range(1, len(levels)):
+                prev = levels[k - 1]
+                for w in iter_bits(levels[k]):
+                    dist[w] = k
+                    sigma[w] = sum(sigma[x] for x in iter_bits(adj[w] & prev))
+            dag = self.dags[u] = (levels, dist, sigma)
+        return dag
+
+    def count(self, u: int, v: int) -> int:
+        """Number of u-v geodesics, u != v; raises Unreachable when none."""
+        if u == v:
+            raise ValueError("endpoints must differ")
+        for x in (v, u):
+            if not 0 <= x < self.g.n:
+                raise IndexOutOfRange(f"vertex {x} out of range")
+        total = self.dag(u)[2][v]
+        if not total:
+            raise Unreachable(f"no path between {u} and {v}")
+        return total
+
+    def interval(self, u: int, v: int) -> list[int]:
+        """The u-v interval by level: level k holds the vertices at
+        distance k from u on some shortest u-v path, which is level k
+        from u met with level d(u, v) - k from v."""
+        levels, dist, _ = self.dag(u)
+        back = self.dag(v)[0]
+        d = dist[v]
+        return [levels[k] & back[d - k] for k in range(d + 1)]
+
+    def masks(self, u: int, v: int, cap: int) -> list[int]:
+        """Vertex sets of the u-v geodesics, in lexicographic order of
+        their paths; raises GeodesicExplosion, before building any, when
+        there are more than ``cap``."""
+        total = self.count(u, v)
+        if total > cap:
+            raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
+        adj = self.g.adj
+        # Extending the partial paths in order, each by its next vertices
+        # in ascending order, keeps them in lexicographic order.
+        ends = [(u, 1 << u)]
+        for level in self.interval(u, v)[1:]:
+            ends = [(x, m | 1 << x) for w, m in ends for x in iter_bits(adj[w] & level)]
+        return [m for _, m in ends]
+
+
+def mask_path(g: Graph, u: int, mask: int) -> Path:
+    """The geodesic from u whose vertex set is ``mask``: a geodesic has
+    no chords, so each step has one unvisited neighbour in the mask."""
+    path = [u]
+    rest = mask ^ 1 << u
+    while rest:
+        x = (g.adj[path[-1]] & rest).bit_length() - 1
+        path.append(x)
+        rest ^= 1 << x
+    return path
 
 
 def count_geodesics(g: Graph, u: int, v: int) -> int:
-    """Number of distinct shortest u-v paths, counted exactly on the BFS DAG."""
-    return _geodesic_interval(g, u, v)[1]
+    """Number of distinct shortest u-v paths, read off u's geodesic DAG."""
+    return Geodesics(g).count(u, v)
 
 
 def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = DEFAULT_GEODESIC_CAP) -> list[Path]:
     """All shortest u-v paths in lexicographic order of vertex sequences.
 
-    The count is established first via DAG counting; if it exceeds ``cap``
-    a GeodesicExplosion is raised without enumerating anything.
+    The count is read off the DAG first; if it exceeds ``cap`` a
+    GeodesicExplosion is raised without enumerating anything.
     """
-    interval, total = _geodesic_interval(g, u, v)
-    if total > cap:
-        raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
-
-    adj = g.adj
-    d = len(interval) - 1
-    paths: list[Path] = []
-    path = [u]
-
-    def walk(w: int, k: int) -> None:
-        if k == d:
-            paths.append(list(path))
-            return
-        for x in iter_bits(adj[w] & interval[k + 1]):
-            path.append(x)
-            walk(x, k + 1)
-            path.pop()
-
-    walk(u, 0)
-    return paths
+    return [mask_path(g, u, m) for m in Geodesics(g).masks(u, v, cap)]
 
 
 def diameter(g: Graph) -> int:
@@ -341,33 +371,6 @@ def diameter(g: Graph) -> int:
     if not is_connected(g):
         raise Disconnected("graph is not connected")
     return max(len(bfs_levels(g, u)) - 1 for u in range(g.n))
-
-
-def geodesic_table(g: Graph) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Diameter, intervals and geodesic counts of a connected graph,
-    from one BFS per vertex.
-
-    ``interval[u][v]`` is the bitset of the vertices on some shortest u-v
-    path: the union over k of level k from u and level d(u, v) - k from v.
-    ``count[u][v]`` is the number of u-v geodesics, summed level by level
-    from u over the previous level's neighbours (Brandes' sigma sweep).
-    """
-    levels = [bfs_levels(g, u) for u in range(g.n)]
-    dist = [[0] * g.n for _ in range(g.n)]
-    count = [[0] * g.n for _ in range(g.n)]
-    for u, lv in enumerate(levels):
-        du, cu = dist[u], count[u]
-        cu[u] = 1
-        for k in range(1, len(lv)):
-            for w in iter_bits(lv[k]):
-                du[w] = k
-                cu[w] = sum(cu[x] for x in iter_bits(g.adj[w] & lv[k - 1]))
-    # Levels are disjoint, so the sum of the meets is their union.
-    interval = [
-        [sum(lu[k] & lv[d - k] for k in range(d + 1)) for lv, d in zip(levels, dist[u])]
-        for u, lu in enumerate(levels)
-    ]
-    return max(map(len, levels)) - 1, interval, count
 
 
 def path_defect(

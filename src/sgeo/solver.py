@@ -7,9 +7,11 @@ admits a covering geodesic assignment wins.
 
 A strong geodetic set is first of all a geodetic set: the union I[S] of
 its vertices' pairwise intervals must be every vertex.  The enumeration
-grows I[S] as it adds vertices, from one table of intervals per call,
-and runs the decision search only on sets with I[S] = V.  This skips no
-success: the search covers at most I[S], and fails at once otherwise.
+grows I[S] as it adds vertices, and runs the decision search only on
+sets with I[S] = V.  This skips no success: the search covers at most
+I[S], and fails at once otherwise.  The intervals, the diameter and the
+search's geodesic options come from one geodesic DAG per vertex, built
+once per call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .graph import (
     DEFAULT_GEODESIC_CAP,
     Graph,
     diameter,
-    geodesic_table,
     is_connected,
 )
 from .intmath import ceil_sqrt_ratio
@@ -80,7 +81,9 @@ def sg_exact(
         )
     if g.n == 1:
         return SgResult(1, "exact", witness=Witness((0,), ()))
-    d, interval, count = geodesic_table(g)
+    cache = _PairCache(g, cap)
+    dags = [cache.geo.dag(u) for u in range(g.n)]
+    d = max(len(levels) for levels, _, _ in dags) - 1
     if d <= 1:
         # Complete graph: geodesics are single edges and cover nothing new.
         return SgResult(g.n, "exact", witness=_complete_witness(g))
@@ -88,16 +91,15 @@ def sg_exact(
     forced = sorted(forced_vertices(g))
     free = [v for v in range(g.n) if v not in set(forced)]
     start = max(_lower_bound(g.n, d), len(forced), 2)
-    cache = _PairCache(g, cap)
     full = (1 << g.n) - 1
     # rows[w][u] is the interval I(u, w), plus bit n when u and w are joined
     # by more than ``cap`` geodesics.  A set whose closure has bit n goes to
     # the search, whose pair cache then raises GeodesicExplosion for the
     # set's first such pair, as it does for any set that meets one.
-    rows = [
-        [iv | (c > cap) << g.n for iv, c in zip(irow, crow)]
-        for irow, crow in zip(interval, count)
-    ]
+    rows = [[0] * g.n for _ in range(g.n)]
+    for u, (_, _, sigma) in enumerate(dags):
+        for w in range(u, g.n):
+            rows[u][w] = rows[w][u] = sum(cache.geo.interval(u, w)) | (sigma[w] > cap) << g.n
 
     def walk(i: int, left: int, chosen: list[int], closure: int) -> Optional[Witness]:
         if not left:

@@ -4,26 +4,30 @@ A witness fixes exactly one geodesic per unordered pair of the selected
 set; the set is strong geodetic when the fixed paths cover every vertex.
 ``verify_witness`` keeps the BFS level sets of each path start: a path
 with k edges is a shortest path exactly when its end lies in level k.
-The decision search backtracks over per-pair geodesic choices with
-coverage bitsets, committing vertices shared by all of a pair's
-geodesics up front and pruning branches whose remaining optional
-coverage cannot reach the uncovered set.
+The decision search backtracks over per-pair geodesic choices, each a
+geodesic's vertex set read off the graph's geodesic DAGs, committing
+vertices shared by all of a pair's geodesics up front and pruning
+branches whose remaining optional coverage cannot reach the uncovered
+set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import Optional
 
 from .errors import Disconnected, MalformedWitness
 from .graph import (
     DEFAULT_GEODESIC_CAP,
+    Geodesics,
     Graph,
     Path,
     bfs_levels,
-    enumerate_geodesics,
     is_connected,
+    mask_path,
     path_defect,
 )
 
@@ -148,41 +152,23 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
 
 
 class _PairCache:
-    """Per-graph cache of geodesic options keyed by vertex pair.
-
-    For each pair it stores lexicographically ordered candidate paths,
-    their coverage bitsets (deduplicated by coverage, keeping the first),
-    the forced bitset shared by every geodesic, and the optional union.
-    """
+    """Per-graph cache of geodesic options keyed by vertex pair, read off
+    the geodesic DAGs in ``geo``: the vertex sets of the pair's geodesics
+    in the lexicographic order of their paths (a geodesic has one vertex
+    per BFS level, so its set fixes it), the forced bitset shared by all
+    of them, and their union, the interval."""
 
     def __init__(self, g: Graph, cap: int):
-        self.g = g
         self.cap = cap
+        self.geo = Geodesics(g)
         self.data: dict[tuple[int, int], tuple] = {}
 
     def get(self, u: int, v: int):
-        key = (u, v)
-        cached = self.data.get(key)
-        if cached is not None:
-            return cached
-        paths = enumerate_geodesics(self.g, u, v, self.cap)
-        masks: list[int] = []
-        kept: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        forced = -1
-        union = 0
-        for p in paths:
-            m = 0
-            for x in p:
-                m |= 1 << x
-            forced &= m
-            union |= m
-            if m not in seen:
-                seen.add(m)
-                masks.append(m)
-                kept.append(tuple(p))
-        entry = (kept, masks, forced, union)
-        self.data[key] = entry
+        entry = self.data.get((u, v))
+        if entry is None:
+            masks = self.geo.masks(u, v, self.cap)
+            union = sum(self.geo.interval(u, v))
+            entry = self.data[u, v] = (masks, reduce(and_, masks), union)
         return entry
 
 
@@ -199,20 +185,20 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
 
     pairs = list(combinations(sel, 2))
     entries = [cache.get(u, v) for u, v in pairs]
-    order = sorted(range(len(pairs)), key=lambda i: (len(entries[i][1]), pairs[i]))
+    order = sorted(range(len(pairs)), key=lambda i: (len(entries[i][0]), pairs[i]))
     pairs = [pairs[i] for i in order]
     entries = [entries[i] for i in order]
 
     covered0 = base
-    for _, _, forced, _ in entries:
+    for _, forced, _ in entries:
         covered0 |= forced
 
     k = len(pairs)
     suffix_union = [0] * (k + 1)
     suffix_gain = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | entries[i][3]
-        suffix_gain[i] = suffix_gain[i + 1] + max(m.bit_count() for m in entries[i][1])
+        suffix_union[i] = suffix_union[i + 1] | entries[i][2]
+        suffix_gain[i] = suffix_gain[i + 1] + max(m.bit_count() for m in entries[i][0])
 
     choice: list[int] = [0] * k
     failed: set[tuple[int, int]] = set()
@@ -235,7 +221,7 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
         # downstream; keeping only the first of each class preserves the
         # lexicographically first success.
         seen_new: set[int] = set()
-        for idx, mask in enumerate(entries[i][1]):
+        for idx, mask in enumerate(entries[i][0]):
             new = mask & ~covered
             if new in seen_new:
                 continue
@@ -253,10 +239,8 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     del rec
     if not found:
         return None
-    pair_paths = {
-        pairs[i]: list(entries[i][0][choice[i]]) for i in range(k)
-    }
-    return make_witness(sel, pair_paths)
+    paths = [mask_path(g, u, masks[c]) for (u, _), (masks, _, _), c in zip(pairs, entries, choice)]
+    return make_witness(sel, dict(zip(pairs, paths)))
 
 
 def is_strong_geodetic_set(

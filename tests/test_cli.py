@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,6 +178,31 @@ class TestConstruct:
         doc = json.loads(err)
         assert doc["status"] == "error"
         assert doc["payload"]["code"] == "AssignmentInfeasible"
+
+    def test_pair_budget(self, capsys):
+        # 1,960 vertices, about 1.9 million pairs: rejected before routing.
+        code, out, err = run(capsys, "construct", "hypercube", "12", "--n0", "12", "--improved")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["payload"]["code"] == "OutOfRange"
+        assert "1960 vertices" in doc["payload"]["message"]
+
+    def test_reader_closing_early(self):
+        # The reader takes 10 bytes of a multi-megabyte witness and leaves.
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["construct", "hypercube", "11", "--n0", "6", "--verify"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sgeo.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestVerify:

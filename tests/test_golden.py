@@ -45,6 +45,9 @@ EXACT = {
         "ce936461a265204ca57f13629ddfc754e70432e304306f3d29a33e4c160f8fc2",
     ),
     "crown(4)": (crown(4), "b6497205087781f797a2bfd628c56bf22c86c07e023ef07eaeddb511cbcd50a0"),
+    # Witness paths of length 3-4 picked among several geodesics of a pair.
+    "Q4": (hypercube(4), "305d967e2b24c13d04b0d5361acc6b19f33aa1fd5e585b03aa7cfebfbb2f7a1f"),
+    "crown(5)": (crown(5), "245a87918f831a390d5f0cffae2dfeb20bb5be760312f7f9f6a50a412ec7a996"),
 }
 
 # Closed forms, bounds and the table, whose ``trace`` and bound fields

@@ -15,7 +15,7 @@ from sgeo import (
     enumerate_geodesics,
     graph_from_edges,
 )
-from sgeo.graph import geodesic_table
+from sgeo.graph import Geodesics, mask_path
 
 nx = pytest.importorskip("networkx")
 
@@ -81,9 +81,25 @@ def test_geodesics(seed):
 )
 def test_geodesic_table(seed):
     g, oracle = random_graph(seed)
-    d, interval, count = geodesic_table(g)
-    assert d == nx.diameter(oracle)
+    geo = Geodesics(g)
+    assert max(len(geo.dag(u)[0]) for u in range(g.n)) - 1 == nx.diameter(oracle)
     for u, v in itertools.permutations(range(g.n), 2):
         paths = list(nx.all_shortest_paths(oracle, u, v))
-        assert interval[u][v] == sum(1 << w for w in set().union(*paths))
-        assert count[u][v] == count_geodesics(g, u, v) == len(paths)
+        assert sum(geo.interval(u, v)) == sum(1 << w for w in set().union(*paths))
+        assert geo.count(u, v) == count_geodesics(g, u, v) == len(paths)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_geodesic_masks(seed):
+    # A geodesic's vertex set fixes it: a pair's masks are distinct, in the
+    # order of the sorted paths, and mask_path walks each back to its path.
+    g, oracle = random_graph(seed)
+    geo = Geodesics(g)
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not nx.has_path(oracle, u, v):
+            continue
+        paths = sorted(nx.all_shortest_paths(oracle, u, v))
+        masks = geo.masks(u, v, len(paths))
+        assert masks == [sum(1 << w for w in p) for p in paths]
+        assert len(set(masks)) == len(masks)
+        assert [mask_path(g, u, m) for m in masks] == paths

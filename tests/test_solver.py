@@ -19,7 +19,8 @@ from sgeo import (
     sg_exact,
     verify_witness,
 )
-from sgeo.graph import diameter, geodesic_table
+from sgeo import graph
+from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _complete_witness, _lower_bound
 from sgeo.verify import _PairCache, _search
 
@@ -140,6 +141,21 @@ class TestExactProperties:
                 pass  # diameter may still be 1 only for complete graphs
             assert verify_witness(g, res.witness).covered
 
+    @pytest.mark.parametrize("g", [crown(6), hypercube(4)], ids=["crown6", "Q4"])
+    def test_one_bfs_per_vertex(self, monkeypatch, g):
+        # The closure table and the pair cache share one geodesic DAG per
+        # source; the only other BFS is the connectivity check.
+        sources = []
+        real = graph.bfs_levels
+
+        def counted(h, u, stop=0):
+            sources.append(u)
+            return real(h, u, stop)
+
+        monkeypatch.setattr(graph, "bfs_levels", counted)
+        sg_exact(g)
+        assert len(sources) <= g.n + 1
+
     def test_lower_bound_respected(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -163,7 +179,7 @@ def reference_exact(g, cap, rejected):
     ``rejected`` with the search's verdict on them."""
     if diameter(g) <= 1:
         return g.n, _complete_witness(g)
-    _, interval, _ = geodesic_table(g)
+    geo = Geodesics(g)
     forced = sorted(v for v in range(g.n) if g.degree(v) == 1)
     free = [v for v in range(g.n) if v not in forced]
     cache = _PairCache(g, cap)
@@ -172,7 +188,7 @@ def reference_exact(g, cap, rejected):
         for sel in subsets_with_forced(free, forced, t):
             closure = sum(1 << v for v in sel)
             for u, v in combinations(sel, 2):
-                closure |= interval[u][v]
+                closure |= sum(geo.interval(u, v))
             w = _search(g, sel, cache)
             if closure != (1 << g.n) - 1:
                 rejected.append(w)
