@@ -87,16 +87,14 @@ def _gen_graph(family: str, params: list[int]) -> graph.Graph:
         if len(params) != 2:
             raise SgeoError("kbipartite takes two parameters")
         return graph.complete_bipartite(params[0], params[1])
-    if family == "crown":
-        if len(params) != 1:
-            raise SgeoError("crown takes one parameter")
-        return graph.crown(params[0])
-    raise SgeoError(f"unknown family {family!r}")
+    if len(params) != 1:
+        raise SgeoError("crown takes one parameter")
+    return graph.crown(params[0])
 
 
 def cmd_gen(args) -> int:
     g = _gen_graph(args.family, args.params)
-    sys.stdout.write(graph.to_edge_list(g))
+    sys.stdout.writelines(graph._edge_lines(g))
     return EXIT_OK
 
 
@@ -114,29 +112,28 @@ def cmd_formula(args) -> int:
         if len(args.params) != 2:
             raise SgeoError("kbipartite takes two parameters")
         result = formulas.sg_complete_bipartite(args.params[0], args.params[1])
-    elif args.family == "crown":
+    else:
         if len(args.params) != 1:
             raise SgeoError("crown takes one parameter")
         result = formulas.sg_crown(args.params[0])
-    else:
-        raise SgeoError(f"no formula for family {args.family!r}")
     _emit(result.to_dict())
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    if args.family != "hypercube":
-        raise SgeoError("bounds are available for the hypercube family only")
-    n = args.n
-    if n < 0:
-        raise SgeoError("dimension must be nonnegative")
-    doc = {
+def _bounds(n: int) -> dict:
+    """The hypercube bounds at n, each None below the dimension where it
+    is defined."""
+    return {
         "lower": formulas.hypercube_lower(n) if n >= 2 else None,
         "upper_basic": formulas.hypercube_upper_basic(n) if n >= 1 else None,
         "upper_improved": formulas.hypercube_upper_improved(n) if n >= 6 else None,
-        "known": formulas.small_hypercube_known(n),
     }
-    _emit(doc)
+
+
+def cmd_bounds(args) -> int:
+    if args.n < 0:
+        raise SgeoError("dimension must be nonnegative")
+    _emit({**_bounds(args.n), "known": formulas.small_hypercube_known(args.n)})
     return EXIT_OK
 
 
@@ -154,12 +151,10 @@ def cmd_construct(args) -> int:
         if len(args.params) != 2:
             raise SgeoError("construct kbipartite takes two parameters")
         built = construct.build_bipartite_witness(args.params[0], args.params[1])
-    elif args.family == "crown":
+    else:
         if len(args.params) != 1:
             raise SgeoError("construct crown takes one parameter")
         built = construct.build_crown_witness(args.params[0])
-    else:
-        raise SgeoError(f"unknown family {args.family!r}")
 
     doc = {
         "witness": verify.witness_to_dict(built.witness),
@@ -187,37 +182,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.covered else EXIT_UNCOVERED
 
 
-def _table_rows(max_n: int):
-    ns = list(range(1, max_n + 1))
-    lower = [formulas.hypercube_lower(n) if n >= 2 else None for n in ns]
-    improved = [formulas.hypercube_upper_improved(n) if n >= 6 else None for n in ns]
-    basic = [formulas.hypercube_upper_basic(n) for n in ns]
-    return ns, lower, improved, basic
-
-
 def cmd_table(args) -> int:
     if not 1 <= args.max_n <= 60:
         raise SgeoError("--max-n must be in [1, 60]")
-    ns, lower, improved, basic = _table_rows(args.max_n)
+    ns = list(range(1, args.max_n + 1))
+    bounds = [_bounds(n) for n in ns]
+    rows = {"n": ns}
+    for key in ("lower", "upper_improved", "upper_basic"):
+        rows[key] = [b[key] for b in bounds]
     if args.format == "json":
-        _emit({"n": ns, "lower": lower, "upper_improved": improved, "upper_basic": basic})
+        _emit(rows)
         return EXIT_OK
-
-    def cells(row):
-        return "\t".join("" if x is None else str(x) for x in row)
-
-    lines = [
-        "n\t" + "\t".join(str(n) for n in ns),
-        "lower\t" + cells(lower),
-        "upper_improved\t" + cells(improved),
-        "upper_basic\t" + cells(basic),
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    for name, row in rows.items():
+        cells = ("" if x is None else str(x) for x in row)
+        sys.stdout.write(name + "\t" + "\t".join(cells) + "\n")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an SgeoError, so it keeps the JSON error
+    contract instead of printing usage text."""
+
+    def error(self, message):
+        raise SgeoError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgeo", description="Strong geodetic set toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -278,8 +268,7 @@ def main(argv=None) -> int:
     except SgeoError as exc:
         return _fail(exc)
     except FileNotFoundError as exc:
-        err = SgeoError(str(exc))
-        return _fail(err)
+        return _fail(SgeoError(str(exc)))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 Every builder returns a witness verified once; a construction that
 cannot cover the graph is a bug, not a soft failure, so it raises
-AssignmentInfeasible and is never repaired.  The hypercube builders
-follow the two-block template (a spread of suffix-zero vertices plus a
-top sub-block), with the improved variant thinning the top block along
-a family of internally disjoint diagonal paths.
+AssignmentInfeasible and is never repaired.  Both hypercube builders
+are one router over the two-block template (a spread of suffix-zero
+vertices plus a top sub-block): the basic witness is the template with
+nothing removed, and the improved one thins the top block along a
+family of internally disjoint diagonal paths.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import AssignmentInfeasible, OutOfRange
 from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
@@ -192,77 +193,68 @@ def build_crown_witness(n: int) -> ConstructionResult:
     return _verified(g, sel, pair_paths, res.value)
 
 
-def _hypercube_frame(n: int, n0: int):
-    """Common geometry: spread P, suffix width, prefix mask, block anchor."""
+def _two_block(
+    n: int, n0: int, target: int, thin: Optional[Callable] = None
+) -> ConstructionResult:
+    """The two-block witness on Q_n: a suffix-zero spread P plus the top
+    sub-block Q, less the suffixes that ``thin(d, top)`` removes.
+
+    A spread-to-block pair (pv, top|c) walks c's flip chain from pv,
+    crosses the block boundary after chain index j, finishes the chain
+    on the far side and then flips the prefix canonically.  A suffix with
+    no chain entry takes its canonical chain and crosses at its end;
+    every other pair takes the canonical geodesic.
+    """
     if n > MAX_CONSTRUCTION_DIM:
         raise OutOfRange(f"verification capped at n <= {MAX_CONSTRUCTION_DIM}")
-    prefix_bits = n - n0
-    suffix_mask = (1 << (n0 - 1)) - 1
-    mid = 1 << (n0 - 1)
-    ones_prefix = ((1 << prefix_bits) - 1) << n0
-    P = [b << n0 for b in range(1 << prefix_bits)]
-    top = ones_prefix | mid
-    return P, suffix_mask, mid, top
+    d = n0 - 1
+    mid = 1 << d
+    top = ((1 << (n - n0)) - 1) << n0 | mid
+    P = [b << n0 for b in range(1 << (n - n0))]
+    removed, chains, plan_fields = thin(d, top) if thin else ([], {}, {})
+    gone = set(removed)
+    suffixes = [c for c in range(mid) if c not in gone]
+    Q = [top | c for c in suffixes]
+    _check_pairs(len(P) + len(Q))
+    g = hypercube(n)
+
+    pair_paths: dict[tuple[int, int], Path] = {}
+    for c in suffixes:
+        chain = canonical_path(0, c, d)
+        chain, j = chains.get(c, (chain, len(chain) - 1))
+        for pv in P:
+            path = [pv | gamma for gamma in chain[: j + 1]]
+            path += [pv | gamma | mid for gamma in chain[j:]]
+            path += canonical_path(path[-1], top | c, n)[1:]
+            pair_paths[(pv, top | c)] = path
+    for block in (P, Q):
+        for a, b in combinations(block, 2):
+            pair_paths[(a, b)] = canonical_path(a, b, n)
+
+    plan = HypercubeConstructionPlan(n, n0, P, Q, [top | f for f in removed], **plan_fields)
+    return _verified(g, P + Q, pair_paths, target, plan)
 
 
 def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
     """Two-block witness on Q_n: a suffix-zero spread of size 2^(n-n0)
-    plus a full top sub-block of size 2^(n0-1).
-
-    Spread-to-block pairs follow the template through the matching
-    suffix on both sides of the block boundary; remaining pairs take
-    canonical left-to-right geodesics.
-    """
-    target = hypercube_upper_basic_at(n, n0)
-    P, suffix_mask, mid, top = _hypercube_frame(n, n0)
-    _check_pairs(target)
-    g = hypercube(n)
-    Q = [top | c for c in range(suffix_mask + 1)]
-
-    pair_paths: dict[tuple[int, int], Path] = {}
-    for pv in P:
-        for qv in Q:
-            c = qv & suffix_mask
-            b0c = pv | c
-            b1c = b0c | mid
-            path = canonical_path(pv, b0c, n)
-            path += canonical_path(b0c, b1c, n)[1:]
-            path += canonical_path(b1c, qv, n)[1:]
-            pair_paths[_pair(pv, qv)] = path
-    for a, b in combinations(P, 2):
-        pair_paths[_pair(a, b)] = canonical_path(a, b, n)
-    for a, b in combinations(Q, 2):
-        pair_paths[_pair(a, b)] = canonical_path(a, b, n)
-
-    plan = HypercubeConstructionPlan(n=n, n0=n0, P=sorted(P), Q=sorted(Q))
-    return _verified(g, P + Q, pair_paths, target, plan)
+    plus a full top sub-block of size 2^(n0-1), every suffix routed on
+    its canonical chain."""
+    return _two_block(n, n0, hypercube_upper_basic_at(n, n0))
 
 
-def _boundary_chains(
-    d: int, seqs: list[list[int]], q_suffixes: list[int]
-) -> dict[int, tuple[list[int], int]]:
-    """Per-suffix flip chain and boundary-crossing index for the routes.
+def _boundary_chains(d: int, seqs: list[list[int]]) -> dict[int, tuple[list[int], int]]:
+    """Flip chain and boundary-crossing index of each suffix whose route
+    differs from its canonical chain crossing at its end.
 
     Early crossings along the diagonal paths put the thinned interiors
     on the far side of the block boundary for every prefix line; near
-    sides come from the end-crossing chains of u and the other path
-    endpoints.
+    sides come from the end-crossing chains of the other suffixes.
     """
-    full = (1 << d) - 1
-    xs = [seq[d - 1] for seq in seqs]
-    ys = [seq[d - 2] for seq in seqs]
-    chain_map: dict[int, tuple[list[int], int]] = {}
-    chain_map[0] = ([0], 0)
-    chain_map[full] = (seqs[0], d)
-    chain_map[xs[0]] = (seqs[0][:d], 1)
-    for i in range(1, d):
-        chain_map[xs[i]] = (seqs[i][:d], d - 1)
-        chain_map[ys[i]] = (seqs[i][: d - 1], 1)
-    for c in q_suffixes:
-        if c not in chain_map:
-            chain = canonical_path(0, c, d)
-            chain_map[c] = (chain, len(chain) - 1)
-    return chain_map
+    chains = {seqs[0][d - 1]: (seqs[0][:d], 1)}
+    for seq in seqs[1:]:
+        chains[seq[d - 1]] = (seq[:d], d - 1)
+        chains[seq[d - 2]] = (seq[: d - 1], 1)
+    return chains
 
 
 def _diagonal_paths(d: int) -> list[list[int]]:
@@ -283,64 +275,35 @@ def _diagonal_paths(d: int) -> list[list[int]]:
     return seqs
 
 
+def _thinning(d: int, top: int) -> tuple[list[int], dict, dict]:
+    """Removed suffixes, boundary chains and plan fields of the thinned
+    block: the deep interior of the d diagonal paths goes, keeping both
+    ends, every path's last interior vertex and all but the first path's
+    second-to-last."""
+    seqs = _diagonal_paths(d)
+    full = (1 << d) - 1
+    xs = [seq[d - 1] for seq in seqs]
+    ys = [seq[d - 2] for seq in seqs]
+    kept = {0, full} | set(xs) | set(ys[1:])
+    removed = sorted({c for seq in seqs for c in seq} - kept)
+    fields = {
+        "u": top | full,
+        "v": top,
+        "x_list": [top | x for x in xs],
+        "y_list": [top | y for y in ys],
+        "path_system": [[top | c for c in seq] for seq in seqs],
+    }
+    return removed, _boundary_chains(d, seqs), fields
+
+
 def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
-    """Thinned two-block witness: the top block drops the deep interior
-    of a family of disjoint diagonal paths.
+    """Thinned two-block witness: the basic template less the deep
+    interior of a family of disjoint diagonal paths in the top block.
 
     Removing suffixes from the block loses their boundary routes, so
-    spread-to-block pairs place the block-boundary crossing at a chosen
-    point of each suffix chain: chains along the diagonal paths cross
-    early (covering the removed interiors on the far side), all others
-    cross at their endpoint.  The report carries the formula target and
-    the achieved size.
+    chains along the diagonal paths cross the block boundary early
+    (covering the removed interiors on the far side); all others cross
+    at their endpoint.  The report carries the formula target and the
+    achieved size.
     """
-    target = hypercube_upper_improved_at(n, n0)
-    P, suffix_mask, mid, top = _hypercube_frame(n, n0)
-    g = hypercube(n)
-    D = n0 - 1
-    full = suffix_mask
-
-    seqs = _diagonal_paths(D)
-    xs = [seq[D - 1] for seq in seqs]
-    ys = [seq[D - 2] for seq in seqs]
-    on_paths = set()
-    for seq in seqs:
-        on_paths.update(seq)
-    kept = {0, full} | set(xs) | set(ys[1:])
-    F_suffixes = sorted(on_paths - kept)
-    f_set = set(F_suffixes)
-    Q_suffixes = [c for c in range(full + 1) if c not in f_set]
-    _check_pairs(len(P) + len(Q_suffixes))
-
-    chain_map = _boundary_chains(D, seqs, Q_suffixes)
-
-    def route(pv: int, c: int) -> Path:
-        chain, j = chain_map[c]
-        path = [pv | gamma for gamma in chain[: j + 1]]
-        path.append(pv | chain[j] | mid)
-        path += [pv | gamma | mid for gamma in chain[j + 1 :]]
-        path += canonical_path(path[-1], top | c, n)[1:]
-        return path
-
-    pair_paths: dict[tuple[int, int], Path] = {}
-    for pv in P:
-        for c in Q_suffixes:
-            pair_paths[_pair(pv, top | c)] = route(pv, c)
-    sel = sorted(P) + [top | c for c in Q_suffixes]
-    for a, b in combinations(sel, 2):
-        if _pair(a, b) not in pair_paths:
-            pair_paths[_pair(a, b)] = canonical_path(a, b, n)
-
-    plan = HypercubeConstructionPlan(
-        n=n,
-        n0=n0,
-        P=sorted(P),
-        Q=sorted(top | c for c in Q_suffixes),
-        F=[top | f for f in F_suffixes],
-        u=top | full,
-        v=top,
-        x_list=[top | x for x in xs],
-        y_list=[top | y for y in ys],
-        path_system=[[top | c for c in seq] for seq in seqs],
-    )
-    return _verified(g, sel, pair_paths, target, plan)
+    return _two_block(n, n0, hypercube_upper_improved_at(n, n0), _thinning)

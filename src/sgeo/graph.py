@@ -82,13 +82,11 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in iter_bits(row):
-                out.append((u, v))
-        return out
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as (u, v) with u < v, read off the rows in order."""
+        for u, row in enumerate(self.adj):
+            for v in iter_bits(row >> (u + 1) << (u + 1)):
+                yield u, v
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -219,12 +217,17 @@ def from_edge_list(text: str) -> Graph:
     return graph_from_edges(n, edges)
 
 
+def _edge_lines(g: Graph) -> Iterator[str]:
+    """The edge-list format one line at a time, read off the adjacency
+    rows, so a dense graph is written without holding its edges."""
+    yield f"p {g.n} {g.edge_count()}\n"
+    for u, v in g.edges():
+        yield f"e {u} {v}\n"
+
+
 def to_edge_list(g: Graph) -> str:
     """Emit the edge-list format; parse(emit(g)) reproduces g exactly."""
-    lines = [f"p {g.n} {g.edge_count()}"]
-    for u, v in g.edges():
-        lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(_edge_lines(g))
 
 
 def bfs_levels(g: Graph, u: int, stop: int = 0) -> list[int]:

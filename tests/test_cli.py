@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,24 @@ class TestGen:
         code, out, err = run(capsys, "gen", "kbipartite", "2000000000", "1")
         assert code == 2 and out == ""
         assert json.loads(err)["payload"]["code"] == "DimensionTooLarge"
+
+    def test_edge_list_text(self, capsys):
+        _, out, _ = run(capsys, "gen", "kbipartite", "1", "2")
+        assert out == "p 3 2\ne 0 1\ne 0 2\n"
+
+    def test_streams_edge_lines(self, monkeypatch):
+        # K(256,256) has 65,536 edges; holding them as tuples and text
+        # lines peaks near 11 MB, writing them line by line under 1 MB.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["gen", "kbipartite", "256", "256"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 4_000_000
 
 
 class TestExact:
@@ -334,10 +353,35 @@ class TestTable:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bogus"],
+            [],
+            ["gen", "foo", "3"],
+            ["gen", "hypercube", "abc"],
+            ["exact"],
+            ["bounds", "kbipartite", "3"],
+            ["construct", "hypercube", "5", "--n0", "x"],
+        ],
+        ids=["command", "none", "family", "param", "no-file", "bounds-family", "n0"],
+    )
+    def test_usage_error_is_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error" and doc["payload"]["message"]
+
     def test_unknown_command(self, capsys):
+        code, _, err = run(capsys, "bogus")
+        assert code == 2
+        assert "invalid choice: 'bogus'" in json.loads(err)["payload"]["message"]
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bogus"])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sgeo")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "exact", "/nonexistent/file.txt")

@@ -208,19 +208,15 @@ class TestHypercubeImproved:
             build_hypercube_improved(8, 3)
         with pytest.raises(OutOfRange):
             build_hypercube_improved(15, 6)
+        # The dimension cap is checked before the diagonal system is built.
+        with pytest.raises(OutOfRange, match="capped"):
+            build_hypercube_improved(2000, 1001)
 
     def test_naive_routing_raises(self, monkeypatch):
-        # With every route crossing the boundary at its endpoint (no
-        # early crossings along the diagonal paths), the removed
-        # suffixes leave far-side lines uncovered; the builder raises
-        # instead of reinserting them.
-        def naive_chains(d, seqs, q_suffixes):
-            chains = {}
-            for c in q_suffixes:
-                chain = construct.canonical_path(0, c, d)
-                chains[c] = (chain, len(chain) - 1)
-            return chains
-
-        monkeypatch.setattr(construct, "_boundary_chains", naive_chains)
+        # With no chain entries every route takes its canonical chain and
+        # crosses the boundary at its endpoint (no early crossings along
+        # the diagonal paths), so the removed suffixes leave far-side
+        # lines uncovered; the builder raises instead of reinserting them.
+        monkeypatch.setattr(construct, "_boundary_chains", lambda d, seqs: {})
         with pytest.raises(AssignmentInfeasible, match="vertices uncovered"):
             build_hypercube_improved(6, 4)

@@ -23,6 +23,24 @@ CONSTRUCT = {
         ["hypercube", "8", "--n0", "5", "--improved"],
         "1a8b65b48b531c37c2a0aabde8322d8ae1da5ab5f9963d14ece031f119c284c9",
     ),
+    # The frame's edges: a one-vertex block (n0 = 1) and a one-vertex
+    # spread (n0 = n).
+    "hypercube 6 --n0 1": (
+        hypercube(6),
+        ["hypercube", "6", "--n0", "1"],
+        "e2bce4ce8b5e167a17fa15518f82d3880cd2451d0a47340d59bb19597718757f",
+    ),
+    "hypercube 6 --n0 6": (
+        hypercube(6),
+        ["hypercube", "6", "--n0", "6"],
+        "1a3b7264feb118851e4e1bae3185351b8ee5c5c04d23f64a57e0f04f83bc023e",
+    ),
+    # The smallest diagonal system, D = 3.
+    "hypercube 7 --n0 4 --improved": (
+        hypercube(7),
+        ["hypercube", "7", "--n0", "4", "--improved"],
+        "f8115989aef6e13e59efbac121597a16dba760bed879c66740240035d2464a37",
+    ),
     "crown 6": (
         crown(6),
         ["crown", "6"],
