@@ -66,6 +66,23 @@ EXACT = {
     # Witness paths of length 3-4 picked among several geodesics of a pair.
     "Q4": (hypercube(4), "305d967e2b24c13d04b0d5361acc6b19f33aa1fd5e585b03aa7cfebfbb2f7a1f"),
     "crown(5)": (crown(5), "245a87918f831a390d5f0cffae2dfeb20bb5be760312f7f9f6a50a412ec7a996"),
+    # Vertex-transitive graphs and twin-rich bipartite ones, where most
+    # candidate sets are copies of each other under automorphism.
+    "crown(6)": (crown(6), "978e15b5b9a856ae1bdcecbad901074141e9e3d28ee84d0e4022a56dc4de6d2f"),
+    "crown(7)": (crown(7), "c50c4e9290f17f07f9e56c353042bbbea53f672147a476a12ea5fe1f93daa880"),
+    "crown(8)": (crown(8), "f0dc156e592cbef320ef800e10da9a9a2c9dc69c494d56e6596dde303a1b4319"),
+    "K(7,7)": (
+        complete_bipartite(7, 7),
+        "018142028acf0b2bb10f18625f11c8224f4182e68a54f5cf40ec50290a21b3a9",
+    ),
+    "K(4,10)": (
+        complete_bipartite(4, 10),
+        "245c0257917ef6d9fefa15a5ec218e7db8591000214914a43ba0c88927d9c932",
+    ),
+    "K(3,11)": (
+        complete_bipartite(3, 11),
+        "cd2be60e4ab14b20c21ef6f23705380cc1f279179d4a3ef05f25f32877888413",
+    ),
 }
 
 # Closed forms, bounds and the table, whose ``trace`` and bound fields
