@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path as FilePath
 
 from . import construct, formulas, graph, solver, verify
@@ -161,7 +160,7 @@ def cmd_construct(args) -> int:
         "report": built.report,
     }
     if built.plan is not None:
-        doc["plan"] = asdict(built.plan)
+        doc["plan"] = built.plan._asdict()
     if args.verify:
         doc["coverage"] = verify.report_to_dict(built.coverage)
     _emit(doc)

@@ -12,9 +12,8 @@ family of internally disjoint diagonal paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import AssignmentInfeasible, OutOfRange
 from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
@@ -28,8 +27,7 @@ MAX_CONSTRUCTION_DIM = 14
 MAX_WITNESS_PAIRS = 1 << 18
 
 
-@dataclass
-class HypercubeConstructionPlan:
+class HypercubeConstructionPlan(NamedTuple):
     """Ingredients of a hypercube witness: the spread P, the top block Q,
     the removed set F, and the diagonal path system with its endpoints."""
 
@@ -37,16 +35,15 @@ class HypercubeConstructionPlan:
     n0: int
     P: list[int]
     Q: list[int]
-    F: list[int] = field(default_factory=list)
+    F: Sequence[int] = ()
     u: Optional[int] = None
     v: Optional[int] = None
-    x_list: list[int] = field(default_factory=list)
-    y_list: list[int] = field(default_factory=list)
-    path_system: list[Path] = field(default_factory=list)
+    x_list: Sequence[int] = ()
+    y_list: Sequence[int] = ()
+    path_system: Sequence[Path] = ()
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A witness with its size report and the builder's own verification."""
 
     witness: Witness

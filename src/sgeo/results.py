@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .verify import Witness, witness_to_dict
 
 
-@dataclass
-class FormulaTrace:
+class FormulaTrace(NamedTuple):
     """Intermediate values behind a closed-form evaluation.
 
     ``k_star`` is a minimizer of s(k) (the loop optimizer reports the
@@ -29,20 +27,18 @@ class FormulaTrace:
     s_at: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CrownSplit:
+class CrownSplit(NamedTuple("CrownSplit", [("p", int), ("q", int)])):
     """Selected-vertex counts on the two sides; always within one of each other."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.p - self.q) > 1:
+    def __new__(cls, p: int, q: int):
+        if abs(p - q) > 1:
             raise ValueError("split sides must differ by at most 1")
+        return super().__new__(cls, p, q)
 
 
-@dataclass
-class SgResult:
+class SgResult(NamedTuple):
     value: int
     method: str  # exact | closed_form | lower_bound | upper_bound | construction
     witness: Optional[Witness] = None
@@ -54,6 +50,6 @@ class SgResult:
             "value": self.value,
             "method": self.method,
             "witness": witness_to_dict(self.witness) if self.witness else None,
-            "trace": asdict(self.trace) if self.trace else None,
+            "trace": self.trace._asdict() if self.trace else None,
             "split": [self.split.p, self.split.q] if self.split else None,
         }

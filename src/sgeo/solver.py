@@ -12,6 +12,17 @@ sets with I[S] = V.  This skips no success: the search covers at most
 I[S], and fails at once otherwise.  The intervals, the diameter and the
 search's geodesic options come from one geodesic DAG per vertex, built
 once per call.
+
+The enumeration also skips every set S that a known automorphism sigma
+maps below itself, sorted(sigma(S)) < sorted(S).  Success, closure and
+over-cap pairs are invariant under automorphism, so the first set where
+one happens is the lex-smallest of its orbit (its lex-leader), which is
+never skipped: values, witnesses and errors stay the same.  Twins (equal
+open or closed neighbourhoods) swap by a transposition, so a twin class
+contributes its smallest members first.  Other automorphisms come from
+individualisation-refinement on the adjacency (McKay and Piperno,
+"Practical graph isomorphism, II", J. Symbolic Comput. 2014), verified
+before use and tested on sets that pass the closure filter.
 """
 
 from __future__ import annotations
@@ -25,10 +36,11 @@ from .graph import (
     Graph,
     diameter,
     is_connected,
+    iter_bits,
 )
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
-from .verify import Witness, _PairCache, _search, make_witness
+from .verify import Witness, _PairCache, _search
 
 DEFAULT_MAX_VERTICES = 20
 
@@ -56,11 +68,74 @@ def forced_vertices(g: Graph) -> set[int]:
     return {v for v in range(g.n) if g.degree(v) == 1}
 
 
-def _complete_witness(g: Graph) -> Witness:
-    """All-vertices witness for diameter <= 1 graphs (every pair an edge)."""
-    sel = list(range(g.n))
-    pair_paths = {(u, v): [u, v] for u, v in combinations(sel, 2)}
-    return make_witness(sel, pair_paths)
+def twin_predecessors(g: Graph) -> list[int]:
+    """Bit of each vertex's next smaller twin, or 0: twins have equal open
+    or equal closed neighbourhoods, so swapping them is an automorphism."""
+    need, last = [0] * g.n, {}
+    for v, row in enumerate(g.adj):
+        for key in (row, row | 1 << v):
+            need[v] |= last.get(key, 0)
+            last[key] = 1 << v
+    return need
+
+
+def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of ordered bitset cells: each splitter from
+    ``queue`` splits every cell by neighbour counts in it, parts in count
+    order, and new parts join the queue; automorphisms commute with it."""
+    while queue and len(cells) < len(adj):
+        s, out = queue.pop(), []
+        for c in cells:
+            if not c & (c - 1):
+                out.append(c)
+                continue
+            parts: dict[int, int] = {}
+            for v in iter_bits(c):
+                k = (adj[v] & s).bit_count()
+                parts[k] = parts.get(k, 0) | 1 << v
+            split = [parts[k] for k in sorted(parts)]
+            out += split
+            if len(split) > 1:
+                queue += split
+        cells = out
+    return cells
+
+
+def _first_path(adj, cells: list[int], v: int = -1) -> tuple[list, list[int]]:
+    """Nodes (partition, v) of the path splitting v, then each time the least
+    vertex, off the first non-singleton cell; and its leaf's vertex order."""
+    path = []
+    while len(cells) < len(adj):
+        i = next(i for i, c in enumerate(cells) if c & (c - 1))
+        v = v if v >= 0 else (cells[i] & -cells[i]).bit_length() - 1
+        path.append((cells, v))
+        cells = _refine(adj, cells[:i] + [1 << v, cells[i] ^ 1 << v] + cells[i + 1:], [1 << v])
+        v = -1
+    return path, [c.bit_length() - 1 for c in cells]
+
+
+def automorphisms(g: Graph) -> list[list[int]]:
+    """Verified automorphisms as vertex images.  At each node (cells, v) of
+    the first path, each w != v of v's cell, twins of v aside, starts a path
+    of its own; its leaf against the first leaf gives a candidate map."""
+    adj, full = g.adj, (1 << g.n) - 1
+    path, leaf = _first_path(adj, _refine(adj, [full], [full]))
+    rank = sorted(range(g.n), key=leaf.__getitem__)
+    found = []
+    for cells, v in path:
+        for w in iter_bits(next(c for c in cells if c >> v & 1) ^ 1 << v):
+            if (adj[v] ^ adj[w]) & ~(1 << v | 1 << w):
+                image = _first_path(adj, cells, w)[1]
+                sigma = [image[rank[u]] for u in range(g.n)]
+                if all(sum(1 << sigma[x] for x in iter_bits(adj[u])) == adj[sigma[u]] for u in range(g.n)):
+                    found.append(sigma)
+    return found
+
+
+def _beaten(gens: list[list[int]], chosen: list[int], taken: int) -> bool:
+    """Whether some sigma (vertex-image bits) has sorted(sigma(S)) < sorted(S),
+    that is, the lowest bit of sigma(S) ^ S lies in sigma(S)."""
+    return any((d := sum(sigma[v] for v in chosen) ^ taken) & -d & ~taken for sigma in gens)
 
 
 def sg_exact(
@@ -84,13 +159,11 @@ def sg_exact(
     cache = _PairCache(g, cap)
     dags = [cache.geo.dag(u) for u in range(g.n)]
     d = max(len(levels) for levels, _, _ in dags) - 1
-    if d <= 1:
-        # Complete graph: geodesics are single edges and cover nothing new.
-        return SgResult(g.n, "exact", witness=_complete_witness(g))
-
     forced = sorted(forced_vertices(g))
     free = [v for v in range(g.n) if v not in set(forced)]
-    start = max(_lower_bound(g.n, d), len(forced), 2)
+    # In a complete graph geodesics are single edges and cover nothing
+    # new, so only V itself passes the closure filter.
+    start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), 2)
     full = (1 << g.n) - 1
     # rows[w][u] is the interval I(u, w), plus bit n when u and w are joined
     # by more than ``cap`` geodesics.  A set whose closure has bit n goes to
@@ -101,25 +174,34 @@ def sg_exact(
         for w in range(u, g.n):
             rows[u][w] = rows[w][u] = sum(cache.geo.interval(u, w)) | (sigma[w] > cap) << g.n
 
-    def walk(i: int, left: int, chosen: list[int], closure: int) -> Optional[Witness]:
+    need = twin_predecessors(g)
+    gens = [[1 << x for x in sigma] for sigma in automorphisms(g)]
+
+    def walk(i: int, left: int, chosen: list[int], taken: int, closure: int) -> Optional[Witness]:
         if not left:
-            return _search(g, sorted(chosen), cache) if closure >= full else None
+            if closure < full or _beaten(gens, chosen, taken):
+                return None
+            return _search(g, sorted(chosen), cache)
         for j in range(i, len(free) - left + 1):
             w = free[j]
+            if need[w] & ~taken:
+                continue
             row = rows[w]
             grown = closure | 1 << w
             for u in chosen:
                 grown |= row[u]
-            found = walk(j + 1, left - 1, chosen + [w], grown)
-            if found is not None:
-                return found
+            # Sets short of V are dropped here, cheaper than a call each.
+            if left > 1 or grown >= full:
+                found = walk(j + 1, left - 1, chosen + [w], taken | 1 << w, grown)
+                if found is not None:
+                    return found
         return None
 
-    closure = sum(1 << w for w in forced)
+    closure = taken = sum(1 << w for w in forced)
     for u, v in combinations(forced, 2):
         closure |= rows[u][v]
     for t in range(start, g.n + 1):
-        found = walk(0, t - len(forced), forced, closure)
+        found = walk(0, t - len(forced), forced, taken, closure)
         if found is not None:
             return SgResult(t, "exact", witness=found)
     raise AssertionError("search must succeed at t = |V|")

@@ -13,11 +13,11 @@ set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import and_
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from .errors import Disconnected, MalformedWitness
 from .graph import (
@@ -32,15 +32,13 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class PairGeodesic:
+class PairGeodesic(NamedTuple):
     u: int
     v: int
     path: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A vertex set plus one fixed geodesic per unordered pair of it."""
 
     vertices: tuple[int, ...]
@@ -50,11 +48,9 @@ class Witness:
         return len(self.vertices)
 
 
-@dataclass
-class CoverageReport:
-    covered: bool
-    uncovered_vertices: list[int] = field(default_factory=list)
-    invalid_paths: list[tuple[tuple[int, int], str]] = field(default_factory=list)
+class CoverageReport(SimpleNamespace):
+    """``covered``, ``uncovered_vertices`` and ``invalid_paths`` as
+    ((u, v), reason); mutable and compared by value."""
 
 
 def make_witness(vertices, pair_paths: dict[tuple[int, int], Path]) -> Witness:
@@ -70,7 +66,7 @@ def witness_to_dict(w: Witness) -> dict:
     return {
         "set": list(w.vertices),
         "assignment": [
-            {"u": a.u, "v": a.v, "path": list(a.path)} for a in w.assignment
+            {"u": u, "v": v, "path": list(path)} for u, v, path in w.assignment
         ],
     }
 
@@ -113,8 +109,8 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
 
     expected = {(u, v) for u, v in combinations(sel, 2)}
     seen: set[tuple[int, int]] = set()
-    for a in w.assignment:
-        key = (min(a.u, a.v), max(a.u, a.v))
+    for u, v, _ in w.assignment:
+        key = (min(u, v), max(u, v))
         if key not in expected:
             raise MalformedWitness(f"assignment pair {key} not a pair of the set")
         if key in seen:
@@ -129,10 +125,9 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
     for v in sel:
         covered |= 1 << v
     invalid: list[tuple[tuple[int, int], str]] = []
-    for a in w.assignment:
-        key = (min(a.u, a.v), max(a.u, a.v))
-        path = a.path
-        if len(path) < 2 or {path[0], path[-1]} != {a.u, a.v}:
+    for u, v, path in w.assignment:
+        key = (min(u, v), max(u, v))
+        if len(path) < 2 or {path[0], path[-1]} != {u, v}:
             reason = "endpoints do not match pair"
         else:
             # path[0] is a selected vertex, so it is in the graph.

@@ -352,6 +352,22 @@ class TestTable:
         assert code == 2
 
 
+class TestImport:
+    def test_no_heavy_modules(self):
+        # dataclasses pulls in inspect, ast and dis, close to a megabyte
+        # that every fresh process would pay for nothing.
+        src = str(Path(__file__).parent.parent / "src")
+        code = "import sys, sgeo.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            check=True,
+            timeout=60,
+        ).stdout
+        assert out.strip() == b"[]"
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

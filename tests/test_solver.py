@@ -21,8 +21,8 @@ from sgeo import (
 )
 from sgeo import graph
 from sgeo.graph import Geodesics, diameter
-from sgeo.solver import _complete_witness, _lower_bound
-from sgeo.verify import _PairCache, _search
+from sgeo.solver import _lower_bound
+from sgeo.verify import _PairCache, _search, make_witness
 
 
 def path_graph(n):
@@ -178,7 +178,7 @@ def reference_exact(g, cap, rejected):
     candidate set.  Sets whose interval closure is not V are collected in
     ``rejected`` with the search's verdict on them."""
     if diameter(g) <= 1:
-        return g.n, _complete_witness(g)
+        return g.n, make_witness(range(g.n), {p: list(p) for p in combinations(range(g.n), 2)})
     geo = Geodesics(g)
     forced = sorted(v for v in range(g.n) if g.degree(v) == 1)
     free = [v for v in range(g.n) if v not in forced]
@@ -204,16 +204,43 @@ def outcome(solve):
         return str(exc)
 
 
+def cycle(n):
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def planted_twins(seed, base):
+    """A seeded random connected graph on ``base`` vertices plus one to
+    three planted twins, each an open or a closed copy of a vertex,
+    relabelled at random so that twins are not adjacent indices."""
+    rng = random.Random(seed)
+    n = base
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(n)
+        edges |= {(x, n) for x in range(n) if (min(x, v), max(x, v)) in edges}
+        if rng.random() < 0.5:
+            edges.add((v, n))
+        n += 1
+    label = rng.sample(range(n), n)
+    return graph_from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+SYMMETRIC = {
+    **{f"K({n},{m})": complete_bipartite(n, m) for n in range(1, 5) for m in range(n, 10 - n)},
+    **{f"crown({n})": crown(n) for n in range(3, 6)},
+    "Q3": hypercube(3),
+    "C6": cycle(6),
+    "C8": cycle(8),
+    **{f"twins{seed}": planted_twins(seed, 4 + seed % 4) for seed in range(12)},
+}
+
+
 class TestClosureFilter:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_reference_loop(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(5, 11)
-        edges = {(rng.randrange(v), v) for v in range(1, n)}
-        for _ in range(rng.randint(0, 2 * n)):
-            u, v = sorted(rng.sample(range(n), 2))
-            edges.add((u, v))
-        g = graph_from_edges(n, edges)
+    @staticmethod
+    def assert_matches_reference(g):
         for cap in (10**6, 2, 1):
             rejected = []
             expected = outcome(lambda: reference_exact(g, cap, rejected))
@@ -223,6 +250,22 @@ class TestClosureFilter:
                 assert got == expected, cap
             else:
                 assert (got.value, got.witness) == expected, cap
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_loop(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(5, 11)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        self.assert_matches_reference(graph_from_edges(n, edges))
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_matches_reference_loop_on_symmetric_graphs(self, name):
+        # The symmetry reduction skips most candidate sets here; the
+        # reference loop skips none.
+        self.assert_matches_reference(SYMMETRIC[name])
 
     def test_explosion_message(self):
         # The message sg_exact gave before the closure filter existed.
