@@ -354,10 +354,10 @@ class TestTable:
 
 class TestImport:
     def test_no_heavy_modules(self):
-        # dataclasses pulls in inspect, ast and dis, close to a megabyte
-        # that every fresh process would pay for nothing.
+        # dataclasses pulls in inspect, ast and dis: about a megabyte of
+        # peak memory that every fresh process would pay for nothing.
         src = str(Path(__file__).parent.parent / "src")
-        code = "import sys, sgeo.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+        code = "import sys, sgeo.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
