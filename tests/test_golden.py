@@ -51,6 +51,31 @@ CONSTRUCT = {
         ["kbipartite", "4", "10"],
         "1ba5f67e868021776e6af94cd96f83845aaf57b36d75040fb4e6f79f69b37ad3",
     ),
+    # k = l = 4: both sides run out of unselected middles, so later
+    # same-side pairs reuse one.
+    "kbipartite 8 9": (
+        complete_bipartite(8, 9),
+        ["kbipartite", "8", "9"],
+        "e4383aaf4c663deaa4d5d4772cd683965859b21f6a9c860bdf1be22a8b2dbe1c",
+    ),
+    # k = 0: the whole set lies on one side.
+    "kbipartite 3 3": (
+        complete_bipartite(3, 3),
+        ["kbipartite", "3", "3"],
+        "07ffcd63b0f8135e76581b1d5b21dd150b89830fd1a376d1037af35baff23af0",
+    ),
+    # Split (1, 2): one matched pair x0, y0 at distance 3.
+    "crown 3": (
+        crown(3),
+        ["crown", "3"],
+        "05bf6080dfa9deeb7677eac73a7cca622b06604319e0bc8d255c0bbc03a78836",
+    ),
+    # Split (3, 4): three matched pairs.
+    "crown 10": (
+        crown(10),
+        ["crown", "10"],
+        "892f9416bf8dca52588a4e32a31e51a993497700f618c13962952f8e651094f9",
+    ),
 }
 
 # Every verify run prints the same covering report.
