@@ -130,8 +130,9 @@ def _bounds(n: int) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    if args.n < 0:
-        raise SgeoError("dimension must be nonnegative")
+    # Checked first: the n0 sweep grows with n, and json.dumps has an int-to-str limit.
+    if not 0 <= args.n <= 10_000:
+        raise SgeoError("dimension must be in [0, 10000]")
     _emit({**_bounds(args.n), "known": formulas.small_hypercube_known(args.n)})
     return EXIT_OK
 

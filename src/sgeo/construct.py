@@ -2,23 +2,24 @@
 
 Every builder returns a witness verified once; a construction that
 cannot cover the graph is a bug, not a soft failure, so it raises
-AssignmentInfeasible and is never repaired.  Both hypercube builders
-are one router over the two-block template (a spread of suffix-zero
-vertices plus a top sub-block): the basic witness is the template with
-nothing removed, and the improved one thins the top block along a
-family of internally disjoint diagonal paths.
+AssignmentInfeasible and is never repaired.  The K(n,m) and crown
+builders only choose their set and share one router driven by the
+adjacency rows, since a crown is K(n,n) less a perfect matching.  Both
+hypercube builders are one router over the two-block template (a spread
+of suffix-zero vertices plus a top sub-block): the basic witness is the
+template with nothing removed, and the improved one thins the top block
+along a family of internally disjoint diagonal paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import AssignmentInfeasible, OutOfRange
 from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
 from .formulas import hypercube_upper_basic_at, hypercube_upper_improved_at
-from .graph import Graph, Path, complete_bipartite, crown, hypercube
+from .graph import Graph, Path, complete_bipartite, crown, hypercube, iter_bits
 from .verify import CoverageReport, Witness, make_witness, verify_witness
 
 MAX_CONSTRUCTION_DIM = 14
@@ -50,10 +51,6 @@ class ConstructionResult(NamedTuple):
     report: dict
     coverage: CoverageReport
     plan: Optional[HypercubeConstructionPlan] = None
-
-
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _verified(
@@ -98,96 +95,59 @@ def canonical_path(u: int, v: int, n: int) -> Path:
     return path
 
 
-def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
-    """Optimal witness for K_{n,m}, 3 <= n <= m.
+def _two_side(g: Graph, sel: list[int], target: int) -> ConstructionResult:
+    """The witness of sel in a bipartite graph of diameter at most 3,
+    routed from the adjacency rows alone: each route takes the smallest
+    vertex that fits, preferring vertices no route has covered yet.
 
-    Selects k vertices on the small side and l = max(f(k), g(k)) on the
-    large side at the optimizing k, then routes same-side pairs through
-    distinct unselected middles (injective greedy) and cross pairs as
-    edges.
+    Pairs with neither an edge nor a common neighbour go first: u-s-t-v
+    with s the smallest uncovered neighbour of u that leaves an uncovered
+    common neighbour t of s and v.  Adjacent pairs are edges; every other
+    pair goes through its smallest uncovered common neighbour, or its
+    smallest common neighbour once none is uncovered.
     """
+    adj = g.adj
+    free = (1 << g.n) - 1 - sum(1 << v for v in sel)
+    pair_paths: dict[tuple[int, int], Path] = {}
+    # Pairs at distance 3 sort first; the sort is stable otherwise.
+    pairs = combinations(sorted(sel), 2)
+    for u, v in sorted(pairs, key=lambda p: bool(adj[p[0]] & (adj[p[1]] | 1 << p[1]))):
+        common = adj[u] & adj[v]
+        if g.has_edge(u, v):
+            pair_paths[(u, v)] = [u, v]
+        elif common:
+            mid = next(iter_bits(common & free or common))
+            free &= ~(1 << mid)
+            pair_paths[(u, v)] = [u, mid, v]
+        else:
+            s = next((s for s in iter_bits(adj[u] & free) if adj[s] & adj[v] & free), None)
+            if s is None:
+                raise AssignmentInfeasible(f"{g!r}: no fresh route for distance-3 pair {u}, {v}")
+            t = next(iter_bits(adj[s] & adj[v] & free))
+            free &= ~(1 << s | 1 << t)
+            pair_paths[(u, v)] = [u, s, t, v]
+    return _verified(g, sel, pair_paths, target)
+
+
+def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
+    """Optimal witness for K_{n,m}, 3 <= n <= m: the first k vertices of
+    the small side and the first l = max(f(k), g(k)) of the large side at
+    the optimizing k."""
     opt = sg_bipartite_opt(n, m)
     k = opt.trace.k_star
     l = max(f_val(n, k), g_val(m, k))
-    g = complete_bipartite(n, m)
-
-    xs = list(range(k))
-    ys = [n + j for j in range(l)]
-    pair_paths: dict[tuple[int, int], Path] = {}
-
-    spare_y = deque(range(n + l, n + m))
-    for i, j in combinations(xs, 2):
-        mid = spare_y.popleft() if spare_y else n
-        pair_paths[(i, j)] = [i, mid, j]
-    if spare_y:
-        raise AssignmentInfeasible("not enough X pairs to cover the Y side")
-
-    spare_x = deque(range(k, n))
-    for i, j in combinations(ys, 2):
-        mid = spare_x.popleft() if spare_x else 0
-        pair_paths[(i, j)] = [i, mid, j]
-    if spare_x:
-        raise AssignmentInfeasible("not enough Y pairs to cover the X side")
-
-    for i in xs:
-        for j in ys:
-            pair_paths[(i, j)] = [i, j]
-
-    return _verified(g, xs + ys, pair_paths, opt.value)
+    return _two_side(complete_bipartite(n, m), list(range(k)) + list(range(n, n + l)), opt.value)
 
 
 def build_crown_witness(n: int) -> ConstructionResult:
-    """Optimal witness for the crown graph on 2n vertices, n >= 3.
-
-    Greedy assignment: matched pairs take length-3 routes covering one
-    new vertex per side, same-side pairs take length-2 routes through
-    new middles while any are left.
-    """
+    """Optimal witness for the crown graph on 2n vertices, n >= 3: the
+    first p vertices of the X side and the first q of the Y side at
+    sg_crown's split, so x_i, y_i with i < min(p, q) are at distance 3."""
     if n < 3:
         raise OutOfRange(f"need n >= 3, got {n}")
     res = sg_crown(n)
     p, q = res.split.p, res.split.q
-    g = crown(n)
-
-    sel = list(range(p)) + [n + j for j in range(q)]
-    new_x = set(range(p, n))  # side indices not yet covered
-    new_y = set(range(q, n))
-    pair_paths: dict[tuple[int, int], Path] = {}
-
-    def take(pool: set[int], blocked: set[int]) -> int:
-        """Smallest side index of pool outside blocked, taken from pool;
-        once pool has none, the smallest index outside blocked."""
-        fresh = pool - blocked
-        if fresh:
-            c = min(fresh)
-            pool.discard(c)
-            return c
-        return next(a for a in range(n) if a not in blocked)
-
-    # Matched cross pairs x_i, y_i need length-3 routes x_i ~ y_s ~ x_t ~ y_i
-    # with s != i and t not in {i, s}, both fresh.
-    for i in range(min(p, q)):
-        for s in sorted(new_y - {i}):
-            if new_x - {i, s}:
-                break
-        else:
-            raise AssignmentInfeasible(f"crown({n}): no fresh route for matched pair {i}")
-        new_y.discard(s)
-        t = take(new_x, {i, s})
-        pair_paths[_pair(i, n + i)] = [i, n + s, t, n + i]
-
-    for i, j in combinations(range(q), 2):
-        pair_paths[_pair(n + i, n + j)] = [n + i, take(new_x, {i, j}), n + j]
-
-    for i, j in combinations(range(p), 2):
-        pair_paths[_pair(i, j)] = [i, n + take(new_y, {i, j}), j]
-
-    for i in range(p):
-        for j in range(q):
-            if i != j:
-                pair_paths[_pair(i, n + j)] = [i, n + j]
-
-    return _verified(g, sel, pair_paths, res.value)
+    return _two_side(crown(n), list(range(p)) + list(range(n, n + q)), res.value)
 
 
 def _two_block(

@@ -174,10 +174,11 @@ def from_edge_list(text: str) -> Graph:
     """Parse the edge-list format: ``p <n> <m>`` header then ``e <u> <v>`` lines.
 
     Lines starting with ``c`` and blank lines are ignored; duplicate edges
-    are deduplicated silently.
+    are deduplicated silently.  Each edge is checked once and OR-ed
+    straight into the adjacency rows.
     """
     n = None
-    edges: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -196,6 +197,7 @@ def from_edge_list(text: str) -> Graph:
             if n < 0 or declared < 0:
                 raise ParseError(f"line {lineno}: negative header field")
             _check_order(n, f"line {lineno}: the header")
+            rows = [0] * n
         elif fields[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -209,12 +211,13 @@ def from_edge_list(text: str) -> Graph:
                 raise IndexOutOfRange(f"line {lineno}: vertex out of range")
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop")
-            edges.add((min(u, v), max(u, v)))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         else:
             raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise ParseError("missing 'p' header line")
-    return graph_from_edges(n, edges)
+    return Graph(n, rows)
 
 
 def _edge_lines(g: Graph) -> Iterator[str]:

@@ -71,14 +71,21 @@ def witness_to_dict(w: Witness) -> dict:
     }
 
 
+def _vertex(x) -> int:
+    """x itself if it is a JSON integer; floats, strings and booleans fail."""
+    if type(x) is not int:
+        raise TypeError(f"vertex {x!r} is not an integer")
+    return x
+
+
 def witness_from_dict(data: dict) -> Witness:
     try:
-        verts = tuple(int(v) for v in data["set"])
+        verts = tuple(_vertex(v) for v in data["set"])
         assignment = tuple(
-            PairGeodesic(int(a["u"]), int(a["v"]), tuple(int(x) for x in a["path"]))
+            PairGeodesic(_vertex(a["u"]), _vertex(a["v"]), tuple(_vertex(x) for x in a["path"]))
             for a in data["assignment"]
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedWitness(f"bad witness document: {exc}") from None
     return Witness(verts, assignment)
 

@@ -157,6 +157,18 @@ class TestBounds:
         doc = json.loads(out)
         assert doc == {"lower": None, "upper_basic": 2, "upper_improved": None, "known": 2}
 
+    def test_largest_dimension(self, capsys):
+        code, out, _ = run(capsys, "bounds", "hypercube", "10000")
+        assert code == 0 and json.loads(out)["upper_basic"] > 0
+
+    @pytest.mark.parametrize("n", ["-1", "10001", str(10**9)])
+    def test_dimension_out_of_range_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "bounds", "hypercube", n)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error"
+        assert doc["payload"]["message"] == "dimension must be in [0, 10000]"
+
 
 class TestConstruct:
     def test_hypercube_7_n0_4(self, capsys):
@@ -299,8 +311,11 @@ class TestVerify:
             "[]",
             "[" * 100_000,
             '{"set": [1e400], "assignment": []}',
+            '{"set": [1.5, 2], "assignment": []}',
+            '{"set": [1, 2], "assignment": [{"u": 1, "v": 2, "path": [1, 0, "2"]}]}',
+            '{"set": [1, 2], "assignment": [{"u": true, "v": 2, "path": [1, 0, 2]}]}',
         ],
-        ids=["invalid", "number", "list", "deep", "overflow"],
+        ids=["invalid", "number", "list", "deep", "overflow", "float", "string", "bool"],
     )
     def test_malformed_json_exits_2(self, capsys, tmp_path, text):
         graph_file, witness_file = self.make_files(capsys, tmp_path, {})

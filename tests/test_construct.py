@@ -11,6 +11,7 @@ from sgeo import (
     complete_bipartite,
     crown,
     distances_from,
+    graph_from_edges,
     hypercube,
     hypercube_upper_basic_at,
     sg_complete_bipartite,
@@ -75,6 +76,13 @@ class TestCrownWitness:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             build_crown_witness(2)
+
+    def test_no_fresh_route_raises(self):
+        # On the path 0-1-2-3 with 1 selected, the pair 0, 3 has no
+        # uncovered middle left.
+        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(AssignmentInfeasible, match="distance-3"):
+            construct._two_side(g, [0, 1, 3], 3)
 
     def test_uncovered_witness_raises(self, monkeypatch):
         # A witness the verifier reports as uncovered is a builder bug:

@@ -121,6 +121,13 @@ class TestVerifyWitness:
         doc = json.loads(json.dumps(witness_to_dict(w)))
         assert witness_from_dict(doc) == w
 
+    def test_non_integer_fields_are_not_coerced(self):
+        # int() would truncate 1.7 to 1 and read True as 1.
+        doc = {"set": [1, 2], "assignment": [{"u": 1.7, "v": 2.2, "path": [1.5, 0, 2.9]}]}
+        for bad in (doc, {**doc, "set": [1, "2"]}, {"set": [True, 2], "assignment": []}):
+            with pytest.raises(MalformedWitness, match="not an integer"):
+                witness_from_dict(bad)
+
 
 class TestDecision:
     def test_q3_reference_set_found(self):
