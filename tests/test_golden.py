@@ -6,10 +6,12 @@ that means to alter the output updates them and says why.
 """
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 
-from sgeo import complete_bipartite, crown, hypercube, to_edge_list
+from sgeo import complete_bipartite, crown, graph_from_edges, hypercube, is_connected, to_edge_list
 from sgeo.cli import main
 
 CONSTRUCT = {
@@ -110,6 +112,32 @@ EXACT = {
     ),
 }
 
+
+
+def gnp(n, p, seed):
+    """The G(n, p) graph drawn from random.Random(seed), pairs in
+    lexicographic order."""
+    rng = random.Random(seed)
+    return graph_from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+# Connected G(n, p) graphs with no automorphism and no twins, so every
+# candidate set that passes the closure filter reaches the decision search.
+EXACT_RANDOM = {
+    "G(14, 0.25) seed 14": (
+        gnp(14, 0.25, 14),
+        "6fa5d796bc170e1bfc5b533511e28fa7f05c97a6eaef621720503a109465ef37",
+    ),
+    "G(16, 0.3) seed 17": (
+        gnp(16, 0.3, 17),
+        "f233cbca1b1cd279bacf7bd3ff552115b285e5a8b2790b90aae21ceb7789fdd6",
+    ),
+    "G(18, 0.3) seed 22": (
+        gnp(18, 0.3, 22),
+        "50611f0865668f9c0681fb735418572d7c1f2671a109ffd951ba2ca50ed913e1",
+    ),
+}
+
 # Closed forms, bounds and the table, whose ``trace`` and bound fields
 # must keep their layout.
 PLAIN = {
@@ -143,6 +171,16 @@ def test_construct_and_verify(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", EXACT)
 def test_exact(capsys, tmp_path, name):
     g, digest = EXACT[name]
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(to_edge_list(g))
+    _, got = stdout_digest(capsys, "exact", str(graph_file))
+    assert got == digest
+
+
+@pytest.mark.parametrize("name", EXACT_RANDOM)
+def test_exact_random(capsys, tmp_path, name):
+    g, digest = EXACT_RANDOM[name]
+    assert is_connected(g)
     graph_file = tmp_path / "g.txt"
     graph_file.write_text(to_edge_list(g))
     _, got = stdout_digest(capsys, "exact", str(graph_file))
