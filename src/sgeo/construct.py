@@ -24,7 +24,7 @@ from .verify import CoverageReport, Witness, make_witness, verify_witness
 
 MAX_CONSTRUCTION_DIM = 14
 # Every pair of the set gets a routed path; build_hypercube_basic(10, 1)
-# has 513 vertices and 131,328 pairs.
+# has 513 vertices and 131,328 pairs, and sg(K(3,m)) = m fits up to m = 724.
 MAX_WITNESS_PAIRS = 1 << 18
 
 
@@ -136,6 +136,7 @@ def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
     opt = sg_bipartite_opt(n, m)
     k = opt.trace.k_star
     l = max(f_val(n, k), g_val(m, k))
+    _check_pairs(k + l)
     return _two_side(complete_bipartite(n, m), list(range(k)) + list(range(n, n + l)), opt.value)
 
 
@@ -147,6 +148,7 @@ def build_crown_witness(n: int) -> ConstructionResult:
         raise OutOfRange(f"need n >= 3, got {n}")
     res = sg_crown(n)
     p, q = res.split.p, res.split.q
+    _check_pairs(p + q)
     return _two_side(crown(n), list(range(p)) + list(range(n, n + q)), res.value)
 
 

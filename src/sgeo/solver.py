@@ -3,7 +3,10 @@
 Cardinality-ascending subset search: sizes grow from the best known
 lower bound, subsets of each size are enumerated lexicographically
 (always containing every degree-1 vertex), and the first subset that
-admits a covering geodesic assignment wins.
+admits a covering geodesic assignment wins.  This runs in two phases:
+the vertex-first search ``verify._decide`` says of each candidate
+whether it is strong geodetic, and only the winner goes to the
+pair-order search ``verify._search``, which builds its witness.
 
 A strong geodetic set is first of all a geodetic set: the union I[S] of
 its vertices' pairwise intervals must be every vertex.  The enumeration
@@ -40,7 +43,7 @@ from .graph import (
 )
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
-from .verify import Witness, _PairCache, _search
+from .verify import Witness, _decide, _PairCache, _search
 
 DEFAULT_MAX_VERTICES = 20
 
@@ -181,7 +184,8 @@ def sg_exact(
         if not left:
             if closure < full or _beaten(gens, chosen, taken):
                 return None
-            return _search(g, sorted(chosen), cache)
+            sel = sorted(chosen)
+            return _search(g, sel, cache) if _decide(g, sel, cache) else None
         for j in range(i, len(free) - left + 1):
             w = free[j]
             if need[w] & ~taken:

@@ -4,11 +4,13 @@ A witness fixes exactly one geodesic per unordered pair of the selected
 set; the set is strong geodetic when the fixed paths cover every vertex.
 ``verify_witness`` keeps the BFS level sets of each path start: a path
 with k edges is a shortest path exactly when its end lies in level k.
-The decision search backtracks over per-pair geodesic choices, each a
-geodesic's vertex set read off the graph's geodesic DAGs, committing
-vertices shared by all of a pair's geodesics up front and pruning
-branches whose remaining optional coverage cannot reach the uncovered
-set.
+Deciding a set runs in two phases.  ``_decide`` answers yes or no by
+branching on the uncovered vertex with the fewest options, each option
+a pair and one of its geodesics, a geodesic's vertex set read off the
+graph's geodesic DAGs.  Only a set it accepts goes to ``_search``,
+which builds the witness: it backtracks over the pairs in a fixed
+order, so its witness is the first in that order.  Both commit the
+vertices shared by all of a pair's geodesics up front.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .graph import (
     Path,
     bfs_levels,
     is_connected,
+    iter_bits,
     mask_path,
     path_defect,
 )
@@ -174,6 +177,64 @@ class _PairCache:
         return entry
 
 
+def _decide(g: Graph, sel: list[int], cache: _PairCache) -> bool:
+    """Whether sel is strong geodetic, by branching on the uncovered
+    vertex with the fewest options (Knuth's Algorithm X, "Dancing links",
+    arXiv cs/0011047): the lowest one that only one free pair can still
+    reach, else the lowest uncovered one.  Each option is a free pair and
+    one of its geodesics through that vertex, one per new coverage; a
+    pair never chosen may take any geodesic, since coverage only grows.
+    """
+    full = (1 << g.n) - 1
+    # Every pair is fetched, in combinations order, before any branching,
+    # so an over-cap pair raises here as it does in _search.
+    entries = [cache.get(u, v) for u, v in combinations(sel, 2)]
+    covered0 = sum(1 << v for v in sel)
+    for _, forced, _ in entries:
+        covered0 |= forced
+    live = [(masks, union) for masks, _, union in entries if union & ~covered0]
+    failed: set[tuple[int, int]] = set()
+
+    def rec(covered: int, free: int) -> bool:
+        need = full & ~covered
+        if not need:
+            return True
+        # Bit-sliced counters: ones holds the vertices that some free pair
+        # can still reach, twos those that two or more can.
+        ones = twos = 0
+        for i in iter_bits(free):
+            u = live[i][1] & need
+            twos |= ones & u
+            ones |= u
+        if ones != need:
+            return False
+        state = (covered, free)
+        if state in failed:
+            return False
+        pick = need & ~twos or need
+        bit = pick & -pick
+        for i in iter_bits(free):
+            masks, union = live[i]
+            if not union & bit:
+                continue
+            rest = free & ~(1 << i)
+            seen_new: set[int] = set()
+            for mask in masks:
+                new = mask & need
+                if new & bit and new not in seen_new:
+                    seen_new.add(new)
+                    if rec(covered | mask, rest):
+                        return True
+        if len(failed) < (1 << 20):
+            failed.add(state)
+        return False
+
+    found = rec(covered0, (1 << len(live)) - 1)
+    # rec holds itself through its closure; dropping it frees the memo now.
+    del rec
+    return found
+
+
 def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     """First witness for sel in the fixed enumeration order, if any."""
     full = (1 << g.n) - 1
@@ -252,8 +313,10 @@ def is_strong_geodetic_set(
 
     Returns the first witness in the fixed enumeration order (pairs by
     ascending geodesic count, geodesics lexicographic) or None when no
-    assignment covers the graph.  Raises Disconnected for disconnected
-    graphs and GeodesicExplosion when a pair exceeds ``cap`` geodesics.
+    assignment covers the graph.  The set is decided first, so a "no"
+    answer costs one vertex-first search and builds no witness.  Raises
+    Disconnected for disconnected graphs and GeodesicExplosion when a
+    pair exceeds ``cap`` geodesics.
     """
     sel = sorted(set(vertices))
     if not sel:
@@ -263,4 +326,5 @@ def is_strong_geodetic_set(
     for v in sel:
         if not 0 <= v < g.n:
             raise MalformedWitness(f"vertex {v} not in graph")
-    return _search(g, sel, _PairCache(g, cap))
+    cache = _PairCache(g, cap)
+    return _search(g, sel, cache) if _decide(g, sel, cache) else None

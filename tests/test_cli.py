@@ -218,6 +218,14 @@ class TestConstruct:
         assert doc["payload"]["code"] == "OutOfRange"
         assert "1960 vertices" in doc["payload"]["message"]
 
+    def test_kbipartite_pair_budget(self, capsys):
+        # sg(K(3,2000)) = 2000, about 2 million pairs: rejected before routing.
+        code, out, err = run(capsys, "construct", "kbipartite", "3", "2000", "--verify")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["payload"]["code"] == "OutOfRange"
+        assert "2000 vertices" in doc["payload"]["message"]
+
     def test_reader_closing_early(self):
         # The reader takes 10 bytes of a multi-megabyte witness and leaves.
         src = str(Path(__file__).parent.parent / "src")

@@ -57,6 +57,14 @@ class TestBipartiteWitness:
         with pytest.raises(OutOfRange):
             build_bipartite_witness(2, 5)
 
+    def test_pair_budget(self, monkeypatch):
+        # sg(K(3,m)) = m: C(724, 2) = 261,726 pairs fit the budget and
+        # C(725, 2) = 262,450 do not, rejected before the graph is built.
+        construct._check_pairs(724)
+        monkeypatch.setattr(construct, "complete_bipartite", None)
+        with pytest.raises(OutOfRange, match="725 vertices"):
+            build_bipartite_witness(3, 725)
+
 
 class TestCrownWitness:
     def test_examples(self):
@@ -76,6 +84,15 @@ class TestCrownWitness:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             build_crown_witness(2)
+
+    def test_pair_budget_checked_before_routing(self, monkeypatch):
+        def reject(size):
+            raise OutOfRange(f"{size} vertices")
+
+        monkeypatch.setattr(construct, "_check_pairs", reject)
+        monkeypatch.setattr(construct, "crown", None)
+        with pytest.raises(OutOfRange, match=f"^{sg_crown(12).value} vertices$"):
+            build_crown_witness(12)
 
     def test_no_fresh_route_raises(self):
         # On the path 0-1-2-3 with 1 selected, the pair 0, 3 has no

@@ -22,7 +22,7 @@ from sgeo import (
 from sgeo import graph
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
-from sgeo.verify import _PairCache, _search, make_witness
+from sgeo.verify import _decide, _PairCache, _search, make_witness
 
 
 def path_graph(n):
@@ -272,3 +272,44 @@ class TestClosureFilter:
         with pytest.raises(GeodesicExplosion) as exc:
             sg_exact(hypercube(3), cap=2)
         assert str(exc.value) == "6 geodesics between 1 and 6 exceed cap 2"
+
+
+def seeded_connected_graph(seed):
+    """A random spanning tree on 6 to 12 vertices plus every other pair
+    with probability 0.2, 0.35 or 0.5 by seed."""
+    rng = random.Random(seed)
+    n, p = rng.randint(6, 12), (0.2, 0.35, 0.5)[seed % 3]
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u, v in combinations(range(n), 2) if rng.random() < p}
+    return graph_from_edges(n, edges)
+
+
+AGREEMENT = {
+    **{f"random{seed}": seeded_connected_graph(seed) for seed in range(15)},
+    "K(3,4)": complete_bipartite(3, 4),
+    "crown(4)": crown(4),
+    "C8": cycle(8),
+    "Q3": hypercube(3),
+}
+
+
+class TestDecide:
+    @pytest.mark.parametrize("name", AGREEMENT)
+    def test_agrees_with_pair_order_search(self, name):
+        # Every set of size 2..5, whether or not it passes the closure
+        # filter, and with caps low enough that some pairs exceed them.
+        g = AGREEMENT[name]
+        for cap in (10**6, 2, 1):
+            cache = _PairCache(g, cap)
+            for t in range(2, 6):
+                for sel in combinations(range(g.n), t):
+                    sel = list(sel)
+                    decided = outcome(lambda: _decide(g, sel, cache))
+                    searched = outcome(lambda: _search(g, sel, cache) is not None)
+                    assert decided == searched, (cap, sel)
+
+    def test_single_vertex(self):
+        g = hypercube(0)
+        assert _decide(g, [0], _PairCache(g, 1))
+        g = path_graph(2)
+        assert not _decide(g, [0], _PairCache(g, 1))
