@@ -4,11 +4,16 @@ Successful commands print their payload (JSON, edge-list text, or TSV)
 on stdout.  Failures print a structured error document on stderr and
 exit with: 2 for usage or input errors, 3 for solver or resource
 errors, 4 for a verification that ran but did not cover.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call; each call parses into a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,6 +212,7 @@ class _Parser(argparse.ArgumentParser):
         raise SgeoError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sgeo", description="Strong geodetic set toolkit"

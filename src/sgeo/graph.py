@@ -13,6 +13,12 @@ read off its levels.  Every question about the geodesics themselves
 goes to ``Geodesics``, which keeps one DAG per source: the levels plus
 each vertex's geodesic count.  Counting, enumeration, intervals and the
 exact solver's options all read those DAGs.
+
+``Graph(n, adj)`` checks rows that come from outside: one row per
+vertex, no bit at or above n, no self-loop, and symmetry.  The family
+generators, ``graph_from_edges`` and ``from_edge_list`` build their rows
+symmetric by construction (the last two check each edge and set both
+directions), so they skip that check.
 """
 
 from __future__ import annotations
@@ -67,6 +73,18 @@ class Graph:
         self.adj = rows
         self.family = family
 
+    @classmethod
+    def _symmetric(cls, n: int, rows: list[int], family: Optional[tuple] = None) -> Graph:
+        """A graph on rows the caller built in range, loop-free and
+        symmetric; only their count is checked."""
+        if len(rows) != n:
+            raise ValueError("adjacency must have one row per vertex")
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = tuple(rows)
+        g.family = family
+        return g
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -94,6 +112,28 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
+    def geodesic_mask(self, path: Sequence[int], levels: list[int]) -> int:
+        """The vertex set of ``path`` if it is a shortest path from the
+        source of the BFS ``levels``, else 0.
+
+        That holds iff the k-th vertex lies in level k and every step is
+        an edge: levels are disjoint, so no vertex repeats.  Membership
+        is read by right shifts, so a vertex outside the graph (even a
+        huge one) allocates nothing; ``1 << x`` is built only once x is
+        known to be in a level.
+        """
+        if len(path) > len(levels):
+            return 0
+        adj = self.adj
+        mask = 0
+        row = -1  # the first vertex needs no edge into it
+        for level, x in zip(levels, path):
+            if x < 0 or not level >> x & 1 or not row >> x & 1:
+                return 0
+            mask |= 1 << x
+            row = adj[x]
+        return mask
+
     def label(self, v: int) -> str:
         """Human-readable vertex label derived from the family tag."""
         if self.family and self.family[0] == "hypercube":
@@ -119,7 +159,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], family: Optional[
             raise ParseError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, family)
+    return Graph._symmetric(n, rows, family)
 
 
 def hypercube(n: int) -> Graph:
@@ -138,7 +178,7 @@ def hypercube(n: int) -> Graph:
         for b in range(n):
             row |= 1 << (v ^ (1 << b))
         rows.append(row)
-    return Graph(size, rows, ("hypercube", n))
+    return Graph._symmetric(size, rows, ("hypercube", n))
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
@@ -149,7 +189,7 @@ def complete_bipartite(n: int, m: int) -> Graph:
     x_mask = (1 << n) - 1
     y_mask = ((1 << m) - 1) << n
     rows = [y_mask] * n + [x_mask] * m
-    return Graph(n + m, rows, ("complete_bipartite", n, m))
+    return Graph._symmetric(n + m, rows, ("complete_bipartite", n, m))
 
 
 def crown(n: int) -> Graph:
@@ -167,7 +207,7 @@ def crown(n: int) -> Graph:
         rows.append(y_all ^ (1 << (n + i)))
     for i in range(n):
         rows.append(x_all ^ (1 << i))
-    return Graph(2 * n, rows, ("crown", n))
+    return Graph._symmetric(2 * n, rows, ("crown", n))
 
 
 def from_edge_list(text: str) -> Graph:
@@ -217,7 +257,7 @@ def from_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise ParseError("missing 'p' header line")
-    return Graph(n, rows)
+    return Graph._symmetric(n, rows)
 
 
 def _edge_lines(g: Graph) -> Iterator[str]:
@@ -385,7 +425,9 @@ def path_defect(
     """Why the nonempty ``path`` is not a shortest path of g, or None.
 
     ``levels`` are the BFS levels from ``path[0]`` when the caller keeps
-    them; a path with k edges is a shortest path iff its end is in level k.
+    them.  Whether the path is a shortest path is ``Graph.geodesic_mask``
+    alone; the checks before it only name the first defect, in the order
+    repeat, vertex range, adjacency, length.
     """
     if len(set(path)) != len(path):
         return "repeated vertex"
@@ -396,8 +438,7 @@ def path_defect(
         return "non-adjacent step"
     if levels is None:
         levels = bfs_levels(g, path[0], 1 << path[-1])
-    k = len(path) - 1
-    if k >= len(levels) or not levels[k] >> path[-1] & 1:
+    if not g.geodesic_mask(path, levels):
         return "not a shortest path"
     return None
 

@@ -2,8 +2,11 @@
 
 A witness fixes exactly one geodesic per unordered pair of the selected
 set; the set is strong geodetic when the fixed paths cover every vertex.
-``verify_witness`` keeps the BFS level sets of each path start: a path
-with k edges is a shortest path exactly when its end lies in level k.
+``verify_witness`` keeps the BFS level sets of each path start and checks
+each path in one pass: it is a shortest path exactly when its k-th
+vertex lies in level k and every step is an edge, and the pass collects
+its cover mask on the way.  Only a rejected path is examined again, to
+name its defect.
 Deciding a set runs in two phases.  ``_decide`` answers yes or no by
 branching on the uncovered vertex with the fewest options, each option
 a pair and one of its geodesics, a geodesic's vertex set read off the
@@ -136,7 +139,6 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
         covered |= 1 << v
     invalid: list[tuple[tuple[int, int], str]] = []
     for u, v, path in w.assignment:
-        key = (min(u, v), max(u, v))
         if len(path) < 2 or {path[0], path[-1]} != {u, v}:
             reason = "endpoints do not match pair"
         else:
@@ -144,12 +146,12 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
             levels = levels_from.get(path[0])
             if levels is None:
                 levels = levels_from[path[0]] = bfs_levels(g, path[0])
+            mask = g.geodesic_mask(path, levels)
+            if mask:
+                covered |= mask
+                continue
             reason = path_defect(g, path, levels)
-        if reason is not None:
-            invalid.append((key, reason))
-        else:
-            for x in path:
-                covered |= 1 << x
+        invalid.append(((min(u, v), max(u, v)), reason))
 
     uncovered = [v for v in range(g.n) if not covered >> v & 1]
     ok = not invalid and not uncovered

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from sgeo import construct
-from sgeo.cli import main
+from sgeo import construct, hypercube, to_edge_list
+from sgeo.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -373,6 +373,37 @@ class TestTable:
     def test_range_check(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "61")
         assert code == 2
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; nothing one call parses
+    may leak into the next."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["table", "--format", "json"], ["table"]),
+            (
+                ["construct", "hypercube", "6", "--n0", "4", "--improved", "--verify"],
+                ["construct", "hypercube", "6", "--n0", "4"],
+            ),
+            (["construct", "hypercube", "5", "--n0", "x"], ["exact", "{q3}"]),
+        ],
+        ids=["table", "construct", "usage-error-then-exact"],
+    )
+    def test_later_call_reads_as_a_fresh_one(self, capsys, tmp_path, first, second):
+        q3 = tmp_path / "q3.txt"
+        q3.write_text(to_edge_list(hypercube(3)))
+        first = [a.format(q3=q3) for a in first]
+        second = [a.format(q3=q3) for a in second]
+        build_parser.cache_clear()
+        fresh = run(capsys, *second)
+        build_parser.cache_clear()
+        run(capsys, *first)
+        parser = build_parser()
+        assert run(capsys, *second) == fresh
+        assert build_parser() is parser
+        assert build_parser.cache_info().misses == 1
 
 
 class TestImport:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 
@@ -22,7 +24,7 @@ from sgeo import (
     is_geodesic,
     to_edge_list,
 )
-from sgeo.graph import MAX_VERTICES, bfs_levels
+from sgeo.graph import MAX_VERTICES, Graph, bfs_levels, path_defect
 
 
 def brute_force_shortest_paths(g, u, v):
@@ -208,6 +210,110 @@ class TestIsGeodesic:
     @pytest.mark.parametrize("path", [[0, -1], [5, 1]])
     def test_vertex_outside_graph(self, path):
         assert not is_geodesic(hypercube(2), path)
+
+
+def brute_defect(n, nbrs, dist, path):
+    """Oracle for path_defect from neighbour sets and BFS distances, in the
+    cascade's order: repeat, range, adjacency, length."""
+    if len(set(path)) != len(path):
+        return "repeated vertex"
+    if any(x not in range(n) for x in path):
+        return "vertex not in graph"
+    if any(b not in nbrs[a] for a, b in zip(path, path[1:])):
+        return "non-adjacent step"
+    if len(path) - 1 != dist[path[0]][path[-1]]:
+        return "not a shortest path"
+    return None
+
+
+def _q3_edges():
+    return [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b]
+
+
+class TestPathDefect:
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (8, _q3_edges()),
+            (5, [(i, (i + 1) % 5) for i in range(5)]),
+            (4, [(0, 1), (1, 2), (2, 3)]),
+        ],
+        ids=["Q3", "C5", "P4"],
+    )
+    def test_matches_brute_force_on_every_short_sequence(self, n, edges):
+        g = graph_from_edges(n, edges)
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        dist = []
+        for s in range(n):
+            d = {s: 0}
+            queue = deque([s])
+            while queue:
+                w = queue.popleft()
+                for x in nbrs[w]:
+                    if x not in d:
+                        d[x] = d[w] + 1
+                        queue.append(x)
+            dist.append(d)
+        levels = [bfs_levels(g, s) for s in range(n)]
+        alphabet = [-1, *range(n + 1), 10**12]
+        for length in range(2, 6):
+            for start in range(n):
+                for rest in itertools.product(alphabet, repeat=length - 1):
+                    path = [start, *rest]
+                    want = brute_defect(n, nbrs, dist, path)
+                    assert path_defect(g, path) == want, path
+                    assert path_defect(g, path, levels[start]) == want, path
+                    mask = g.geodesic_mask(path, levels[start])
+                    assert mask == (sum(1 << x for x in path) if want is None else 0), path
+
+
+class TestGraphRows:
+    """Builders whose rows are symmetric by construction skip Graph's
+    checks; their graphs must pass them."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [hypercube(d) for d in range(9)]
+        + [complete_bipartite(a, b) for a, b in [(1, 1), (1, 5), (3, 3), (4, 7), (8, 9)]]
+        + [crown(k) for k in range(3, 9)],
+        ids=repr,
+    )
+    def test_families_pass_the_checks(self, g):
+        checked = Graph(g.n, g.adj, g.family)
+        assert checked == g and checked.family == g.family
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_edge_lists_pass_the_checks(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 30)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        text = f"p {n} {len(edges)}\n" + "".join(f"e {v} {u}\n" for u, v in edges)
+        for g in (graph_from_edges(n, edges), from_edge_list(text)):
+            assert Graph(g.n, g.adj) == g
+            assert list(g.edges()) == sorted(edges)
+
+    @pytest.mark.parametrize(
+        "n, rows, error, message",
+        [
+            (2, [2], ValueError, "adjacency must have one row per vertex"),
+            (2, [0b100, 0], IndexOutOfRange, "row 0 refers to vertices >= 2"),
+            (2, [0b01, 0], ValueError, "self-loop at vertex 0"),
+            (3, [0b010, 0, 0], ValueError, "asymmetric adjacency between 0 and 1"),
+        ],
+        ids=["row-count", "out-of-range", "self-loop", "asymmetric"],
+    )
+    def test_graph_checks_outside_rows(self, n, rows, error, message):
+        with pytest.raises(error) as exc:
+            Graph(n, rows)
+        assert exc.type is error and str(exc.value) == message
+
+    def test_negative_order_is_rejected(self):
+        with pytest.raises(ValueError, match="one row per vertex"):
+            graph_from_edges(-1, [])
 
 
 class TestGeodesics:

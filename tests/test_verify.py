@@ -92,7 +92,8 @@ class TestVerifyWitness:
         report = verify_witness(Q3, make_witness(FIG_SET, paths))
         assert ((5, 7), "endpoints do not match pair") in report.invalid_paths
 
-    @pytest.mark.parametrize("inner", [-1, 99])
+    # 10**12 and 1 << 4096 must be rejected without building 1 << x.
+    @pytest.mark.parametrize("inner", [-1, 99, 10**12, 1 << 4096], ids=["-1", "99", "1e12", "2^4096"])
     def test_path_vertex_outside_graph(self, inner):
         paths = dict(FIG_PATHS)
         paths[(0, 5)] = [0, inner, 5]
