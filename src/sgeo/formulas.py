@@ -216,7 +216,7 @@ def hypercube_upper_improved(n: int) -> int:
     return hypercube_upper_improved_at(n, (n + 2) // 2)
 
 
-_SMALL_HYPERCUBE = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
+_SMALL_HYPERCUBE = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
 
 
 def small_hypercube_known(n: int) -> Optional[int]:

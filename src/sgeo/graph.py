@@ -11,8 +11,9 @@ previous level (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
 2013).  Distances, connectivity, the diameter and geodesic checks are
 read off its levels.  Every question about the geodesics themselves
 goes to ``Geodesics``, which keeps one DAG per source: the levels plus
-each vertex's geodesic count.  Counting, enumeration, intervals and the
-exact solver's options all read those DAGs.
+each vertex's geodesic count.  Counting, enumeration and the intervals
+that the exact solver and the decision search work on all read those
+DAGs.
 
 ``Graph(n, adj)`` checks rows that come from outside: one row per
 vertex, no bit at or above n, no self-loop, and symmetry.  The family
@@ -347,8 +348,9 @@ class Geodesics:
             dag = self.dags[u] = (levels, dist, sigma)
         return dag
 
-    def count(self, u: int, v: int) -> int:
-        """Number of u-v geodesics, u != v; raises Unreachable when none."""
+    def count(self, u: int, v: int, cap: Optional[int] = None) -> int:
+        """Number of u-v geodesics, u != v; raises Unreachable when none,
+        and GeodesicExplosion when there are more than ``cap``."""
         if u == v:
             raise ValueError("endpoints must differ")
         for x in (v, u):
@@ -357,6 +359,8 @@ class Geodesics:
         total = self.dag(u)[2][v]
         if not total:
             raise Unreachable(f"no path between {u} and {v}")
+        if cap is not None and total > cap:
+            raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
         return total
 
     def interval(self, u: int, v: int) -> list[int]:
@@ -367,34 +371,6 @@ class Geodesics:
         back = self.dag(v)[0]
         d = dist[v]
         return [levels[k] & back[d - k] for k in range(d + 1)]
-
-    def masks(self, u: int, v: int, cap: int) -> list[int]:
-        """Vertex sets of the u-v geodesics, in lexicographic order of
-        their paths; raises GeodesicExplosion, before building any, when
-        there are more than ``cap``."""
-        total = self.count(u, v)
-        if total > cap:
-            raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
-        adj = self.g.adj
-        # Extending the partial paths in order, each by its next vertices
-        # in ascending order, keeps them in lexicographic order.
-        ends = [(u, 1 << u)]
-        for level in self.interval(u, v)[1:]:
-            ends = [(x, m | 1 << x) for w, m in ends for x in iter_bits(adj[w] & level)]
-        return [m for _, m in ends]
-
-
-def mask_path(g: Graph, u: int, mask: int) -> Path:
-    """The geodesic from u whose vertex set is ``mask``: a geodesic has
-    no chords, so each step has one unvisited neighbour in the mask."""
-    path = [u]
-    rest = mask ^ 1 << u
-    while rest:
-        x = (g.adj[path[-1]] & rest).bit_length() - 1
-        path.append(x)
-        rest ^= 1 << x
-    return path
-
 
 def count_geodesics(g: Graph, u: int, v: int) -> int:
     """Number of distinct shortest u-v paths, read off u's geodesic DAG."""
@@ -407,7 +383,15 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = DEFAULT_GEODESIC_CA
     The count is read off the DAG first; if it exceeds ``cap`` a
     GeodesicExplosion is raised without enumerating anything.
     """
-    return [mask_path(g, u, m) for m in Geodesics(g).masks(u, v, cap)]
+    geo = Geodesics(g)
+    geo.count(u, v, cap)
+    adj = g.adj
+    # Extending the partial paths in order, each by its next vertices in
+    # ascending order, keeps them in lexicographic order.
+    paths = [[u]]
+    for level in geo.interval(u, v)[1:]:
+        paths = [p + [x] for p in paths for x in iter_bits(adj[p[-1]] & level)]
+    return paths
 
 
 def diameter(g: Graph) -> int:

@@ -3,18 +3,19 @@
 Cardinality-ascending subset search: sizes grow from the best known
 lower bound, subsets of each size are enumerated lexicographically
 (always containing every degree-1 vertex), and the first subset that
-admits a covering geodesic assignment wins.  This runs in two phases:
-the vertex-first search ``verify._decide`` says of each candidate
-whether it is strong geodetic, and only the winner goes to the
-pair-order search ``verify._search``, which builds its witness.
+admits a covering geodesic assignment wins.  One search,
+``verify._search``, decides each candidate by growing a chain of
+committed vertices per pair, and builds the witness of the first set
+it accepts from those chains.
 
 A strong geodetic set is first of all a geodetic set: the union I[S] of
 its vertices' pairwise intervals must be every vertex.  The enumeration
 grows I[S] as it adds vertices, and runs the decision search only on
 sets with I[S] = V.  This skips no success: the search covers at most
-I[S], and fails at once otherwise.  The intervals, the diameter and the
-search's geodesic options come from one geodesic DAG per vertex, built
-once per call.
+I[S], and fails at once otherwise.  The diameter, the geodesic counts
+and the intervals come from one geodesic DAG per vertex, built once per
+call; the closure rows and the search's segments read the intervals off
+one segment table.
 
 The enumeration also skips every set S that a known automorphism sigma
 maps below itself, sorted(sigma(S)) < sorted(S).  Success, closure and
@@ -43,7 +44,7 @@ from .graph import (
 )
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
-from .verify import Witness, _decide, _PairCache, _search
+from .verify import Witness, _PairCache, _search
 
 DEFAULT_MAX_VERTICES = 20
 
@@ -168,14 +169,15 @@ def sg_exact(
     # new, so only V itself passes the closure filter.
     start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), 2)
     full = (1 << g.n) - 1
-    # rows[w][u] is the interval I(u, w), plus bit n when u and w are joined
-    # by more than ``cap`` geodesics.  A set whose closure has bit n goes to
-    # the search, whose pair cache then raises GeodesicExplosion for the
-    # set's first such pair, as it does for any set that meets one.
+    # rows[w][u] is the interval I(u, w), read off the segment table, plus
+    # bit n when u and w are joined by more than ``cap`` geodesics.  A set
+    # whose closure has bit n goes to the search, which then raises
+    # GeodesicExplosion for the set's first such pair, as it does for any
+    # set that meets one.
     rows = [[0] * g.n for _ in range(g.n)]
     for u, (_, _, sigma) in enumerate(dags):
-        for w in range(u, g.n):
-            rows[u][w] = rows[w][u] = sum(cache.geo.interval(u, w)) | (sigma[w] > cap) << g.n
+        for w in range(u + 1, g.n):
+            rows[u][w] = rows[w][u] = cache.get(u, w)[1] | (sigma[w] > cap) << g.n
 
     need = twin_predecessors(g)
     gens = [[1 << x for x in sigma] for sigma in automorphisms(g)]
@@ -184,8 +186,7 @@ def sg_exact(
         if not left:
             if closure < full or _beaten(gens, chosen, taken):
                 return None
-            sel = sorted(chosen)
-            return _search(g, sel, cache) if _decide(g, sel, cache) else None
+            return _search(g, sorted(chosen), cache)
         for j in range(i, len(free) - left + 1):
             w = free[j]
             if need[w] & ~taken:

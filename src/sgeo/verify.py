@@ -7,20 +7,20 @@ each path in one pass: it is a shortest path exactly when its k-th
 vertex lies in level k and every step is an edge, and the pass collects
 its cover mask on the way.  Only a rejected path is examined again, to
 name its defect.
-Deciding a set runs in two phases.  ``_decide`` answers yes or no by
-branching on the uncovered vertex with the fewest options, each option
-a pair and one of its geodesics, a geodesic's vertex set read off the
-graph's geodesic DAGs.  Only a set it accepts goes to ``_search``,
-which builds the witness: it backtracks over the pairs in a fixed
-order, so its witness is the first in that order.  Both commit the
-vertices shared by all of a pair's geodesics up front.
+
+One search, ``_search``, both decides a set and builds its witness.  It
+never lists a pair's geodesics: each pair keeps a chain of vertices its
+path must pass and can still cover every vertex of the intervals
+between consecutive chain vertices, read off the graph's geodesic DAGs
+through a per-graph segment table.  The search branches on uncovered
+vertices, each option a pair that inserts the vertex into its chain, and
+the witness path of each pair is the lexicographically first geodesic
+through its final chain.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import and_
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -32,8 +32,6 @@ from .graph import (
     Path,
     bfs_levels,
     is_connected,
-    iter_bits,
-    mask_path,
     path_defect,
 )
 
@@ -159,152 +157,114 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
 
 
 class _PairCache:
-    """Per-graph cache of geodesic options keyed by vertex pair, read off
-    the geodesic DAGs in ``geo``: the vertex sets of the pair's geodesics
-    in the lexicographic order of their paths (a geodesic has one vertex
-    per BFS level, so its set fixes it), the forced bitset shared by all
-    of them, and their union, the interval."""
+    """Per-graph segment table, filled on first use: for the ordered pair
+    (a, b), the a-b interval by level from a (read off the geodesic DAGs
+    in ``geo``), its union, and its forced part, the union of the levels
+    that hold one vertex, which every a-b geodesic passes."""
 
     def __init__(self, g: Graph, cap: int):
         self.cap = cap
         self.geo = Geodesics(g)
-        self.data: dict[tuple[int, int], tuple] = {}
+        self.data: dict[tuple[int, int], tuple[list[int], int, int]] = {}
 
-    def get(self, u: int, v: int):
-        entry = self.data.get((u, v))
+    def get(self, a: int, b: int) -> tuple[list[int], int, int]:
+        entry = self.data.get((a, b))
         if entry is None:
-            masks = self.geo.masks(u, v, self.cap)
-            union = sum(self.geo.interval(u, v))
-            entry = self.data[u, v] = (masks, reduce(and_, masks), union)
+            levels = self.geo.interval(a, b)
+            forced = sum(level for level in levels if not level & (level - 1))
+            entry = self.data[a, b] = (levels, sum(levels), forced)
         return entry
 
 
-def _decide(g: Graph, sel: list[int], cache: _PairCache) -> bool:
-    """Whether sel is strong geodetic, by branching on the uncovered
-    vertex with the fewest options (Knuth's Algorithm X, "Dancing links",
-    arXiv cs/0011047): the lowest one that only one free pair can still
-    reach, else the lowest uncovered one.  Each option is a free pair and
-    one of its geodesics through that vertex, one per new coverage; a
-    pair never chosen may take any geodesic, since coverage only grows.
+def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
+    """The first witness for the sorted set sel in the search order, or None.
+
+    Each pair (u, v) keeps a chain u = c0, ..., ck = v of vertices its
+    path must pass, in distance order from u, and reaches the union of
+    the intervals I(c_i, c_i+1): the vertices of the u-v geodesics through
+    the chain.  The search branches on the lowest uncovered vertex x that
+    only one pair reaches, else the lowest (Knuth's Algorithm X, arXiv
+    cs/0011047).  Each pair that reaches x, in combinations order, may
+    insert x into the one segment whose interval holds it, covering the
+    forced parts of the two new segments.  A pair's reach fixes the
+    geodesics it allows, so a failed state is memoised by the covered set
+    and the index and reach of each pair that can still cover something.
+    A pair's witness path is the lexicographically first geodesic through
+    its final chain, built segment by segment.
     """
     full = (1 << g.n) - 1
-    # Every pair is fetched, in combinations order, before any branching,
-    # so an over-cap pair raises here as it does in _search.
-    entries = [cache.get(u, v) for u, v in combinations(sel, 2)]
-    covered0 = sum(1 << v for v in sel)
-    for _, forced, _ in entries:
-        covered0 |= forced
-    live = [(masks, union) for masks, _, union in entries if union & ~covered0]
-    failed: set[tuple[int, int]] = set()
+    pairs = list(combinations(sel, 2))
+    # Every pair is counted, in combinations order, before any branching,
+    # so the first over-cap pair raises whatever the set covers.
+    for u, v in pairs:
+        cache.geo.count(u, v, cache.cap)
+    get = cache.get
+    entries = [get(u, v) for u, v in pairs]
+    covered = sum(1 << v for v in sel)
+    for _, _, forced in entries:
+        covered |= forced
+    chains = pairs[:]
+    reaches = [union for _, union, _ in entries]
+    failed: set[tuple] = set()
 
-    def rec(covered: int, free: int) -> bool:
+    def rec(covered: int) -> bool:
         need = full & ~covered
         if not need:
             return True
-        # Bit-sliced counters: ones holds the vertices that some free pair
-        # can still reach, twos those that two or more can.
+        # Bit-sliced counters: ones holds the vertices that some pair can
+        # still reach, twos those that two or more can.
         ones = twos = 0
-        for i in iter_bits(free):
-            u = live[i][1] & need
-            twos |= ones & u
-            ones |= u
+        live = []
+        for i, reach in enumerate(reaches):
+            reach &= need
+            if reach:
+                twos |= ones & reach
+                ones |= reach
+                live.append(i)
         if ones != need:
             return False
-        state = (covered, free)
+        state = (covered, tuple(live), tuple([reaches[i] for i in live]))
         if state in failed:
             return False
         pick = need & ~twos or need
         bit = pick & -pick
-        for i in iter_bits(free):
-            masks, union = live[i]
-            if not union & bit:
+        x = bit.bit_length() - 1
+        for i in live:
+            reach = reaches[i]
+            if not reach & bit:
                 continue
-            rest = free & ~(1 << i)
-            seen_new: set[int] = set()
-            for mask in masks:
-                new = mask & need
-                if new & bit and new not in seen_new:
-                    seen_new.add(new)
-                    if rec(covered | mask, rest):
-                        return True
-        if len(failed) < (1 << 20):
-            failed.add(state)
-        return False
-
-    found = rec(covered0, (1 << len(live)) - 1)
-    # rec holds itself through its closure; dropping it frees the memo now.
-    del rec
-    return found
-
-
-def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
-    """First witness for sel in the fixed enumeration order, if any."""
-    full = (1 << g.n) - 1
-    base = 0
-    for v in sel:
-        base |= 1 << v
-    if len(sel) == 1:
-        if base == full:
-            return Witness(tuple(sel), ())
-        return None
-
-    pairs = list(combinations(sel, 2))
-    entries = [cache.get(u, v) for u, v in pairs]
-    order = sorted(range(len(pairs)), key=lambda i: (len(entries[i][0]), pairs[i]))
-    pairs = [pairs[i] for i in order]
-    entries = [entries[i] for i in order]
-
-    covered0 = base
-    for _, forced, _ in entries:
-        covered0 |= forced
-
-    k = len(pairs)
-    suffix_union = [0] * (k + 1)
-    suffix_gain = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | entries[i][2]
-        suffix_gain[i] = suffix_gain[i + 1] + max(m.bit_count() for m in entries[i][0])
-
-    choice: list[int] = [0] * k
-    failed: set[tuple[int, int]] = set()
-
-    def rec(i: int, covered: int) -> bool:
-        if covered == full:
-            for j in range(i, k):
-                choice[j] = 0
-            return True
-        if i == k:
-            return False
-        if covered | suffix_union[i] != full:
-            return False
-        if (full & ~covered).bit_count() > suffix_gain[i]:
-            return False
-        state = (i, covered)
-        if state in failed:
-            return False
-        # Geodesics adding the same new coverage are interchangeable
-        # downstream; keeping only the first of each class preserves the
-        # lexicographically first success.
-        seen_new: set[int] = set()
-        for idx, mask in enumerate(entries[i][0]):
-            new = mask & ~covered
-            if new in seen_new:
-                continue
-            seen_new.add(new)
-            choice[i] = idx
-            if rec(i + 1, covered | mask):
+            chain = chains[i]
+            j = 1
+            while not get(chain[j - 1], chain[j])[1] & bit:
+                j += 1
+            a, b = chain[j - 1], chain[j]
+            _, left, left_forced = get(a, x)
+            _, right, right_forced = get(x, b)
+            chains[i] = chain[:j] + (x,) + chain[j:]
+            reaches[i] = reach & ~get(a, b)[1] | left | right
+            if rec(covered | left_forced | right_forced):
                 return True
+            chains[i] = chain
+            reaches[i] = reach
         if len(failed) < (1 << 20):
             failed.add(state)
         return False
 
-    found = rec(0, covered0)
+    found = rec(covered)
     # rec holds itself through its closure; dropping it frees the memo now
     # instead of at the next cyclic garbage collection.
     del rec
     if not found:
         return None
-    paths = [mask_path(g, u, masks[c]) for (u, _), (masks, _, _), c in zip(pairs, entries, choice)]
+    adj = g.adj
+    paths = []
+    for chain in chains:
+        path = [chain[0]]
+        for a, b in zip(chain, chain[1:]):
+            for level in get(a, b)[0][1:]:
+                step = adj[path[-1]] & level
+                path.append((step & -step).bit_length() - 1)
+        paths.append(path)
     return make_witness(sel, dict(zip(pairs, paths)))
 
 
@@ -313,12 +273,14 @@ def is_strong_geodetic_set(
 ) -> Optional[Witness]:
     """Search for a covering geodesic assignment over the given set.
 
-    Returns the first witness in the fixed enumeration order (pairs by
-    ascending geodesic count, geodesics lexicographic) or None when no
-    assignment covers the graph.  The set is decided first, so a "no"
-    answer costs one vertex-first search and builds no witness.  Raises
-    Disconnected for disconnected graphs and GeodesicExplosion when a
-    pair exceeds ``cap`` geodesics.
+    Returns a witness, or None when no assignment covers the graph.  The
+    witness is the first the chain search finds, branching on uncovered
+    vertices in ascending order and trying the pairs that reach one in
+    combinations order; each pair's path is the lexicographically first
+    geodesic through the vertices the search committed it to.  Raises
+    Disconnected for disconnected graphs and GeodesicExplosion, before
+    any search, for the first pair (in combinations order) joined by
+    more than ``cap`` geodesics.
     """
     sel = sorted(set(vertices))
     if not sel:
@@ -328,5 +290,4 @@ def is_strong_geodetic_set(
     for v in sel:
         if not 0 <= v < g.n:
             raise MalformedWitness(f"vertex {v} not in graph")
-    cache = _PairCache(g, cap)
-    return _search(g, sel, cache) if _decide(g, sel, cache) else None
+    return _search(g, sel, _PairCache(g, cap))

@@ -152,6 +152,11 @@ class TestBounds:
         doc = json.loads(out)
         assert doc == {"lower": 4, "upper_basic": 6, "upper_improved": None, "known": 5}
 
+    def test_n5(self, capsys):
+        _, out, _ = run(capsys, "bounds", "hypercube", "5")
+        doc = json.loads(out)
+        assert doc == {"lower": 4, "upper_basic": 8, "upper_improved": None, "known": 6}
+
     def test_n1(self, capsys):
         _, out, _ = run(capsys, "bounds", "hypercube", "1")
         doc = json.loads(out)

@@ -227,10 +227,10 @@ class TestHypercubeBounds:
             assert hypercube_lower(n) <= hypercube_upper_improved(n)
 
     def test_small_values(self):
-        assert [small_hypercube_known(n) for n in range(6)] == [1, 2, 3, 4, 5, None]
+        assert [small_hypercube_known(n) for n in range(7)] == [1, 2, 3, 4, 5, 6, None]
 
     def test_small_values_inside_bounds(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             v = small_hypercube_known(n)
             assert hypercube_lower(n) <= v <= hypercube_upper_basic(n)
 

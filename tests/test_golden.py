@@ -89,18 +89,18 @@ EXACT = {
         complete_bipartite(3, 4),
         "ce936461a265204ca57f13629ddfc754e70432e304306f3d29a33e4c160f8fc2",
     ),
-    "crown(4)": (crown(4), "b6497205087781f797a2bfd628c56bf22c86c07e023ef07eaeddb511cbcd50a0"),
+    "crown(4)": (crown(4), "08159667228c268e823eee1c6fc4f30da030dab1cfad5afd9d7995fdff2bd595"),
     # Witness paths of length 3-4 picked among several geodesics of a pair.
-    "Q4": (hypercube(4), "305d967e2b24c13d04b0d5361acc6b19f33aa1fd5e585b03aa7cfebfbb2f7a1f"),
-    "crown(5)": (crown(5), "245a87918f831a390d5f0cffae2dfeb20bb5be760312f7f9f6a50a412ec7a996"),
+    "Q4": (hypercube(4), "bf655458a30240f464967add090f78159540e4179b6b9c955b3b82bf68ee849f"),
+    "crown(5)": (crown(5), "c165dc8e25e3b0b0db996b16e409689114719069ef0834fad47f574f22824477"),
     # Vertex-transitive graphs and twin-rich bipartite ones, where most
     # candidate sets are copies of each other under automorphism.
-    "crown(6)": (crown(6), "978e15b5b9a856ae1bdcecbad901074141e9e3d28ee84d0e4022a56dc4de6d2f"),
-    "crown(7)": (crown(7), "c50c4e9290f17f07f9e56c353042bbbea53f672147a476a12ea5fe1f93daa880"),
-    "crown(8)": (crown(8), "f0dc156e592cbef320ef800e10da9a9a2c9dc69c494d56e6596dde303a1b4319"),
+    "crown(6)": (crown(6), "e388bc192d56a159fe53ecb0af24c626093a0ae395450810fcf58985fc26c11d"),
+    "crown(7)": (crown(7), "3d1e11748d3beb60aeb574dc12812619aefd972fa736500cdb7ad78042d92b94"),
+    "crown(8)": (crown(8), "3717a9d72f08f4bf77abaa476eb1a8ab92ef34e225db3c526a11e790eccf9026"),
     "K(7,7)": (
         complete_bipartite(7, 7),
-        "018142028acf0b2bb10f18625f11c8224f4182e68a54f5cf40ec50290a21b3a9",
+        "d743c7f097f0c0d87e489e0a2dd2166e37b9dc2bb62b11e2082ed38832a0799e",
     ),
     "K(4,10)": (
         complete_bipartite(4, 10),
@@ -126,15 +126,15 @@ def gnp(n, p, seed):
 EXACT_RANDOM = {
     "G(14, 0.25) seed 14": (
         gnp(14, 0.25, 14),
-        "6fa5d796bc170e1bfc5b533511e28fa7f05c97a6eaef621720503a109465ef37",
+        "296109fb6b3fd8175e2d5325057988bb16f168806aaff6c62292bf5219e04b6c",
     ),
     "G(16, 0.3) seed 17": (
         gnp(16, 0.3, 17),
-        "f233cbca1b1cd279bacf7bd3ff552115b285e5a8b2790b90aae21ceb7789fdd6",
+        "f147c1c287a0a6322c65dc5572856614fc76b8a32a1b6a556ad702b1050ca3f9",
     ),
     "G(18, 0.3) seed 22": (
         gnp(18, 0.3, 22),
-        "50611f0865668f9c0681fb735418572d7c1f2671a109ffd951ba2ca50ed913e1",
+        "552fede0ed27a526e878740523af7f5cd21adf5f087c3110ab508f74b5aabf2d",
     ),
 }
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from sgeo import (
     SizeLimitExceeded,
     complete_bipartite,
     crown,
+    enumerate_geodesics,
     forced_vertices,
     graph_from_edges,
     hypercube,
@@ -22,7 +24,7 @@ from sgeo import (
 from sgeo import graph
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
-from sgeo.verify import _decide, _PairCache, _search, make_witness
+from sgeo.verify import _PairCache, _search, make_witness
 
 
 def path_graph(n):
@@ -83,6 +85,12 @@ class TestExact:
         res = sg_exact(hypercube(4))
         assert res.value == 5
         assert verify_witness(hypercube(4), res.witness).covered
+
+    def test_q5(self):
+        # Every 5-set fails, so this also settles sg(Q5) >= 6.
+        res = sg_exact(hypercube(5), max_vertices=32)
+        assert res.value == 6
+        assert verify_witness(hypercube(5), res.witness).covered
 
     def test_single_vertex(self):
         res = sg_exact(hypercube(0))
@@ -290,26 +298,56 @@ AGREEMENT = {
     "crown(4)": crown(4),
     "C8": cycle(8),
     "Q3": hypercube(3),
+    # I(0, 2) = I(1, 3) = V in C4, yet the two pairs have different geodesics.
+    "C4": cycle(4),
+    "C6": cycle(6),
 }
+
+
+def brute_force_strong(g, sel, cap):
+    """Whether one geodesic per pair of sel covers g: a pair-order search
+    that tries every geodesic of each pair, pairs in combinations order.
+    Every pair's geodesics are listed before any is tried, so the first
+    pair over ``cap`` raises GeodesicExplosion."""
+    options = [
+        {sum(1 << x for x in p) for p in enumerate_geodesics(g, u, v, cap)}
+        for u, v in combinations(sel, 2)
+    ]
+    full = (1 << g.n) - 1
+
+    @functools.cache
+    def covers(i, covered):
+        if covered == full:
+            return True
+        return i < len(options) and any(covers(i + 1, covered | m) for m in options[i])
+
+    return covers(0, sum(1 << v for v in sel))
 
 
 class TestDecide:
     @pytest.mark.parametrize("name", AGREEMENT)
     def test_agrees_with_pair_order_search(self, name):
-        # Every set of size 2..5, whether or not it passes the closure
+        # Every set of size 1..5, whether or not it passes the closure
         # filter, and with caps low enough that some pairs exceed them.
+        # Every witness the chain search builds must pass the verifier.
         g = AGREEMENT[name]
         for cap in (10**6, 2, 1):
             cache = _PairCache(g, cap)
-            for t in range(2, 6):
+            for t in range(1, 6):
                 for sel in combinations(range(g.n), t):
                     sel = list(sel)
-                    decided = outcome(lambda: _decide(g, sel, cache))
-                    searched = outcome(lambda: _search(g, sel, cache) is not None)
-                    assert decided == searched, (cap, sel)
+                    w = outcome(lambda: _search(g, sel, cache))
+                    expected = outcome(lambda: brute_force_strong(g, sel, cap))
+                    if isinstance(w, str):
+                        assert w == expected, (cap, sel)
+                        continue
+                    assert (w is not None) == expected, (cap, sel)
+                    if w is not None:
+                        assert w.vertices == tuple(sel)
+                        assert verify_witness(g, w).covered, (cap, sel)
 
     def test_single_vertex(self):
         g = hypercube(0)
-        assert _decide(g, [0], _PairCache(g, 1))
+        assert _search(g, [0], _PairCache(g, 1)) == make_witness([0], {})
         g = path_graph(2)
-        assert not _decide(g, [0], _PairCache(g, 1))
+        assert _search(g, [0], _PairCache(g, 1)) is None
