@@ -26,6 +26,7 @@ from .errors import (
     Disconnected,
     GeodesicExplosion,
     MalformedWitness,
+    ParseError,
     SgeoError,
     SizeLimitExceeded,
 )
@@ -79,7 +80,11 @@ def _fail(exc: SgeoError) -> int:
 
 
 def _load_graph(path: str) -> graph.Graph:
-    return graph.from_edge_list(FilePath(path).read_text())
+    try:
+        text = FilePath(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"graph file is not readable text: {exc}") from None
+    return graph.from_edge_list(text)
 
 
 def _gen_graph(family: str, params: list[int]) -> graph.Graph:
@@ -273,7 +278,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     except SgeoError as exc:
         return _fail(exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A missing, unreadable or directory path is an input error.
         return _fail(SgeoError(str(exc)))
 
 

@@ -17,6 +17,19 @@ and the intervals come from one geodesic DAG per vertex, built once per
 call; the closure rows and the search's segments read the intervals off
 one segment table.
 
+A fixed u-v geodesic holds at most d(u, v) - 1 vertices besides u and v,
+so the paths of S hold at most |S| + sum over its pairs of (d(u, v) - 1)
+vertices, its path budget.  The start size is the smallest t whose
+budget reaches n with every distance set to the diameter d.  The
+enumeration carries each set's budget and, per remaining vertex w, its
+span, the sum of d(u, w) - 1 over the chosen u.  It skips every set
+whose budget is below n, and every branch whose best completion is:
+each vertex still to come adds 1 plus one of the largest spans left,
+and d - 1 per pair among them.  Such a set cannot cover V, so the
+search would reject it: no success is skipped.  A set with a pair over
+the geodesic cap must still reach the search, which raises for it, so
+the budget is off for a graph with any such pair.
+
 The enumeration also skips every set S that a known automorphism sigma
 maps below itself, sorted(sigma(S)) < sorted(S).  Success, closure and
 over-cap pairs are invariant under automorphism, so the first set where
@@ -179,34 +192,67 @@ def sg_exact(
         for w in range(u + 1, g.n):
             rows[u][w] = rows[w][u] = cache.get(u, w)[1] | (sigma[w] > cap) << g.n
 
+    # The path budget (module docstring) is off, goal 0, when some pair is
+    # over the cap: a set holding that pair must reach the search, which
+    # raises for it.
+    goal = 0 if any(max(row) >> g.n for row in rows) else g.n
+    # gaps[w][p] = d(w, free[p]) - 1, the most a fixed w-free[p] geodesic
+    # adds to the budget.
+    gaps = [[dist[x] - 1 for x in free] for _, dist, _ in dags]
+    zeros = [0] * len(free)
     need = twin_predecessors(g)
     gens = [[1 << x for x in sigma] for sigma in automorphisms(g)]
 
-    def walk(i: int, left: int, chosen: list[int], taken: int, closure: int) -> Optional[Witness]:
+    def walk(
+        i: int, left: int, chosen: list[int], taken: int, closure: int,
+        budget: int, span: list[int], gap: list[int],
+    ) -> Optional[Witness]:
+        # budget is the chosen set's path budget; adding free[p] adds
+        # 1 + span[p] + gap[p] to it.  gap is zeros or, with one vertex
+        # left to add, the last chosen vertex's gaps row: only nodes with
+        # more to add sort their spans, so only they need the sum.
         if not left:
-            if closure < full or _beaten(gens, chosen, taken):
+            if closure < full or budget < goal or _beaten(gens, chosen, taken):
                 return None
             return _search(g, sorted(chosen), cache)
-        for j in range(i, len(free) - left + 1):
+        more = left - 1
+        # Besides w, the vertices still to come add at most 1 each, their
+        # largest spans (top), and d - 1 per pair of them.
+        rest = more + more * (more - 1) // 2 * (d - 1)
+        for j in range(i, len(free) - more):
             w = free[j]
             if need[w] & ~taken:
+                continue
+            size = budget + 1 + span[j] + gap[j]
+            if more > 1:
+                grown_span, grown_gap = [s + e for s, e in zip(span, gaps[w])], zeros
+                top = sum(sorted(grown_span[j + 1:])[-more:])
+            else:
+                # The child sums no spans.  With more == 1, gap is zeros
+                # here and gaps[w] is at most d - 1.
+                grown_span, grown_gap = span, gaps[w]
+                top = more and max(span[j + 1:]) + d - 1
+            if size + rest + top < goal:
                 continue
             row = rows[w]
             grown = closure | 1 << w
             for u in chosen:
                 grown |= row[u]
             # Sets short of V are dropped here, cheaper than a call each.
-            if left > 1 or grown >= full:
-                found = walk(j + 1, left - 1, chosen + [w], taken | 1 << w, grown)
+            if more or grown >= full:
+                found = walk(j + 1, more, chosen + [w], taken | 1 << w, grown, size, grown_span, grown_gap)
                 if found is not None:
                     return found
         return None
 
     closure = taken = sum(1 << w for w in forced)
+    budget = len(forced)
     for u, v in combinations(forced, 2):
         closure |= rows[u][v]
+        budget += dags[u][1][v] - 1
+    span = [sum(gaps[u][p] for u in forced) for p in range(len(free))]
     for t in range(start, g.n + 1):
-        found = walk(0, t - len(forced), forced, taken, closure)
+        found = walk(0, t - len(forced), forced, taken, closure, budget, span, zeros)
         if found is not None:
             return SgResult(t, "exact", witness=found)
     raise AssertionError("search must succeed at t = |V|")

@@ -459,8 +459,36 @@ class TestUsage:
         assert capsys.readouterr().out.startswith("usage: sgeo")
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "exact", "/nonexistent/file.txt")
-        assert code == 2
+        code, out, err = run(capsys, "exact", "/nonexistent/file.txt")
+        assert code == 2 and out == ""
+        assert json.loads(err)["payload"] == {
+            "code": "Error",
+            "message": "[Errno 2] No such file or directory: '/nonexistent/file.txt'",
+        }
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["exact", "{dir}"], "Error"),
+            (["verify", "{graph}", "{dir}"], "Error"),
+            (["verify", "{dir}", "{graph}"], "Error"),
+            (["exact", "{binary}"], "ParseError"),
+            (["verify", "{binary}", "{graph}"], "ParseError"),
+        ],
+        ids=["exact-dir", "verify-witness-dir", "verify-graph-dir", "exact-binary", "verify-binary"],
+    )
+    def test_unreadable_input_is_json(self, capsys, tmp_path, argv, code):
+        # Directories and bytes that do not decode keep the error contract:
+        # exit 2 with a JSON error, no traceback.
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("p 2 1\ne 0 1\n")
+        binary = tmp_path / "b.txt"
+        binary.write_bytes(b"p 2 1\ne 0 1\n\xff\xfe\n")
+        files = {"dir": tmp_path, "graph": graph_file, "binary": binary}
+        exit_code, out, err = run(capsys, *(a.format(**files) for a in argv))
+        assert exit_code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error" and doc["payload"]["code"] == code
 
     def test_cap_env_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SG_GEODESIC_CAP", "2")

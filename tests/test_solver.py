@@ -21,10 +21,10 @@ from sgeo import (
     sg_exact,
     verify_witness,
 )
-from sgeo import graph
+from sgeo import graph, solver
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
-from sgeo.verify import _PairCache, _search, make_witness
+from sgeo.verify import Witness, _PairCache, _search, make_witness
 
 
 def path_graph(n):
@@ -351,3 +351,63 @@ class TestDecide:
         assert _search(g, [0], _PairCache(g, 1)) == make_witness([0], {})
         g = path_graph(2)
         assert _search(g, [0], _PairCache(g, 1)) is None
+
+
+def path_budget(g, sel):
+    """|S| + the sum over pairs of S of d(u, v) - 1: the most vertices that
+    one fixed geodesic per pair can hold."""
+    geo = Geodesics(g)
+    return len(sel) + sum(geo.dag(u)[1][v] - 1 for u, v in combinations(sel, 2))
+
+
+def leaves_on_k2m(m):
+    """K(2, m) with three leaves on one vertex of its 2-side and one on the
+    other.  The leaves' intervals cover V, yet their budget is
+    4 + 3 * 1 + 3 * 3 = 16, below n = m + 6 for m > 10."""
+    edges = [(v, s) for s in (0, 1) for v in range(2, m + 2)]
+    edges += [(0, m + 2), (0, m + 3), (0, m + 4), (1, m + 5)]
+    return graph_from_edges(m + 6, edges)
+
+
+class TestPathBudget:
+    @pytest.mark.parametrize("name", AGREEMENT)
+    def test_sets_under_budget_fail(self, name):
+        # sg_exact never decides a set whose budget is below n: the search
+        # must reject each such set, or raise for an over-cap pair.
+        g = AGREEMENT[name]
+        for cap in (10**6, 2, 1):
+            cache = _PairCache(g, cap)
+            for t in range(1, 6):
+                for sel in combinations(range(g.n), t):
+                    if path_budget(g, sel) < g.n:
+                        got = outcome(lambda: _search(g, list(sel), cache))
+                        assert not isinstance(got, Witness), (cap, sel)
+
+    @staticmethod
+    def decided_sets(monkeypatch, g):
+        decided = []
+        real = solver._search
+
+        def counted(h, sel, cache):
+            decided.append(sel)
+            return real(h, sel, cache)
+
+        monkeypatch.setattr(solver, "_search", counted)
+        sg_exact(g)
+        return decided
+
+    @pytest.mark.parametrize("name", [*AGREEMENT, "leaves on K(2,12)"])
+    def test_no_decided_set_under_budget(self, monkeypatch, name):
+        # On K(2, 12) with leaves the forced set alone has the start size
+        # and passes the closure filter, but not the budget.
+        g = AGREEMENT[name] if name in AGREEMENT else leaves_on_k2m(12)
+        decided = self.decided_sets(monkeypatch, g)
+        assert decided and all(path_budget(g, sel) >= g.n for sel in decided)
+
+    @pytest.mark.parametrize(
+        "g, decisions", [(hypercube(4), 1), (crown(8), 3)], ids=["Q4", "crown8"]
+    )
+    def test_prunes_decisions(self, monkeypatch, g, decisions):
+        # Without the budget the closure filter and the symmetry reduction
+        # leave 12 sets of Q4 and 11 of crown(8) to decide.
+        assert len(self.decided_sets(monkeypatch, g)) == decisions
