@@ -148,6 +148,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.family != "hypercube" and (args.n0 is not None or args.improved):
+        raise SgeoError("--n0 and --improved apply to construct hypercube only")
     if args.family == "hypercube":
         if len(args.params) != 1:
             raise SgeoError("construct hypercube takes the dimension")

@@ -135,15 +135,6 @@ class Graph:
             row = adj[x]
         return mask
 
-    def label(self, v: int) -> str:
-        """Human-readable vertex label derived from the family tag."""
-        if self.family and self.family[0] == "hypercube":
-            return format(v, f"0{max(self.family[1], 1)}b") if self.family[1] else "0"
-        if self.family and self.family[0] in ("complete_bipartite", "crown"):
-            n = self.family[1]
-            return f"x{v}" if v < n else f"y{v - n}"
-        return str(v)
-
 
 def _check_order(n: int, what: str) -> None:
     """Reject a graph of more than MAX_VERTICES vertices before allocating it."""

@@ -30,16 +30,14 @@ search would reject it: no success is skipped.  A set with a pair over
 the geodesic cap must still reach the search, which raises for it, so
 the budget is off for a graph with any such pair.
 
-The enumeration also skips every set S that a known automorphism sigma
-maps below itself, sorted(sigma(S)) < sorted(S).  Success, closure and
-over-cap pairs are invariant under automorphism, so the first set where
-one happens is the lex-smallest of its orbit (its lex-leader), which is
-never skipped: values, witnesses and errors stay the same.  Twins (equal
-open or closed neighbourhoods) swap by a transposition, so a twin class
-contributes its smallest members first.  Other automorphisms come from
-individualisation-refinement on the adjacency (McKay and Piperno,
-"Practical graph isomorphism, II", J. Symbolic Comput. 2014), verified
-before use and tested on sets that pass the closure filter.
+Twins (equal open or closed neighbourhoods) swap by a transposition,
+an automorphism, so a twin class contributes its smallest members
+first: a set holding a twin but not its next smaller twin is skipped.
+Success, closure and over-cap pairs are invariant under automorphism,
+so the first set where one happens is the lex-smallest of its orbit
+(its lex-leader).  A lex-leader holds each twin's smaller twins, since
+the swap would otherwise map it lex-below itself, so it is never
+skipped: values, witnesses and errors stay the same.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .graph import (
     Graph,
     diameter,
     is_connected,
-    iter_bits,
 )
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
@@ -94,65 +91,6 @@ def twin_predecessors(g: Graph) -> list[int]:
             need[v] |= last.get(key, 0)
             last[key] = 1 << v
     return need
-
-
-def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
-    """Equitable refinement of ordered bitset cells: each splitter from
-    ``queue`` splits every cell by neighbour counts in it, parts in count
-    order, and new parts join the queue; automorphisms commute with it."""
-    while queue and len(cells) < len(adj):
-        s, out = queue.pop(), []
-        for c in cells:
-            if not c & (c - 1):
-                out.append(c)
-                continue
-            parts: dict[int, int] = {}
-            for v in iter_bits(c):
-                k = (adj[v] & s).bit_count()
-                parts[k] = parts.get(k, 0) | 1 << v
-            split = [parts[k] for k in sorted(parts)]
-            out += split
-            if len(split) > 1:
-                queue += split
-        cells = out
-    return cells
-
-
-def _first_path(adj, cells: list[int], v: int = -1) -> tuple[list, list[int]]:
-    """Nodes (partition, v) of the path splitting v, then each time the least
-    vertex, off the first non-singleton cell; and its leaf's vertex order."""
-    path = []
-    while len(cells) < len(adj):
-        i = next(i for i, c in enumerate(cells) if c & (c - 1))
-        v = v if v >= 0 else (cells[i] & -cells[i]).bit_length() - 1
-        path.append((cells, v))
-        cells = _refine(adj, cells[:i] + [1 << v, cells[i] ^ 1 << v] + cells[i + 1:], [1 << v])
-        v = -1
-    return path, [c.bit_length() - 1 for c in cells]
-
-
-def automorphisms(g: Graph) -> list[list[int]]:
-    """Verified automorphisms as vertex images.  At each node (cells, v) of
-    the first path, each w != v of v's cell, twins of v aside, starts a path
-    of its own; its leaf against the first leaf gives a candidate map."""
-    adj, full = g.adj, (1 << g.n) - 1
-    path, leaf = _first_path(adj, _refine(adj, [full], [full]))
-    rank = sorted(range(g.n), key=leaf.__getitem__)
-    found = []
-    for cells, v in path:
-        for w in iter_bits(next(c for c in cells if c >> v & 1) ^ 1 << v):
-            if (adj[v] ^ adj[w]) & ~(1 << v | 1 << w):
-                image = _first_path(adj, cells, w)[1]
-                sigma = [image[rank[u]] for u in range(g.n)]
-                if all(sum(1 << sigma[x] for x in iter_bits(adj[u])) == adj[sigma[u]] for u in range(g.n)):
-                    found.append(sigma)
-    return found
-
-
-def _beaten(gens: list[list[int]], chosen: list[int], taken: int) -> bool:
-    """Whether some sigma (vertex-image bits) has sorted(sigma(S)) < sorted(S),
-    that is, the lowest bit of sigma(S) ^ S lies in sigma(S)."""
-    return any((d := sum(sigma[v] for v in chosen) ^ taken) & -d & ~taken for sigma in gens)
 
 
 def sg_exact(
@@ -201,7 +139,6 @@ def sg_exact(
     gaps = [[dist[x] - 1 for x in free] for _, dist, _ in dags]
     zeros = [0] * len(free)
     need = twin_predecessors(g)
-    gens = [[1 << x for x in sigma] for sigma in automorphisms(g)]
 
     def walk(
         i: int, left: int, chosen: list[int], taken: int, closure: int,
@@ -212,7 +149,7 @@ def sg_exact(
         # left to add, the last chosen vertex's gaps row: only nodes with
         # more to add sort their spans, so only they need the sum.
         if not left:
-            if closure < full or budget < goal or _beaten(gens, chosen, taken):
+            if closure < full or budget < goal:
                 return None
             return _search(g, sorted(chosen), cache)
         more = left - 1

@@ -438,8 +438,11 @@ class TestUsage:
             ["exact"],
             ["bounds", "kbipartite", "3"],
             ["construct", "hypercube", "5", "--n0", "x"],
+            ["construct", "crown", "3", "--n0", "9"],
+            ["construct", "kbipartite", "4", "10", "--improved"],
         ],
-        ids=["command", "none", "family", "param", "no-file", "bounds-family", "n0"],
+        ids=["command", "none", "family", "param", "no-file", "bounds-family", "n0",
+             "crown-n0", "kbipartite-improved"],
     )
     def test_usage_error_is_json(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -150,14 +150,6 @@ class TestGenerators:
         with pytest.raises(DisconnectedFamily):
             crown(2)
 
-    def test_vertex_labels(self):
-        assert hypercube(3).label(5) == "101"
-        assert crown(4).label(0) == "x0"
-        assert crown(4).label(6) == "y2"
-        assert complete_bipartite(2, 3).label(4) == "y2"
-        g = graph_from_edges(2, [(0, 1)])
-        assert g.label(1) == "1"
-
 
 class TestEdgeList:
     def test_parse_k2(self):

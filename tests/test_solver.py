@@ -271,8 +271,8 @@ class TestClosureFilter:
 
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_matches_reference_loop_on_symmetric_graphs(self, name):
-        # The symmetry reduction skips most candidate sets here; the
-        # reference loop skips none.
+        # The twin rule skips most candidate sets of the twin-rich graphs
+        # here; the reference loop skips none.
         self.assert_matches_reference(SYMMETRIC[name])
 
     def test_explosion_message(self):
@@ -405,9 +405,9 @@ class TestPathBudget:
         assert decided and all(path_budget(g, sel) >= g.n for sel in decided)
 
     @pytest.mark.parametrize(
-        "g, decisions", [(hypercube(4), 1), (crown(8), 3)], ids=["Q4", "crown8"]
+        "g, decisions", [(hypercube(4), 1), (crown(8), 81)], ids=["Q4", "crown8"]
     )
     def test_prunes_decisions(self, monkeypatch, g, decisions):
-        # Without the budget the closure filter and the symmetry reduction
-        # leave 12 sets of Q4 and 11 of crown(8) to decide.
+        # Without the budget the closure filter and the twin rule leave
+        # 732 sets of Q4 and 3,437 of crown(8) to decide.
         assert len(self.decided_sets(monkeypatch, g)) == decisions
