@@ -2,8 +2,8 @@
 
 Cardinality-ascending subset search: sizes grow from the best known
 lower bound, subsets of each size are enumerated lexicographically
-(always containing every degree-1 vertex), and the first subset that
-admits a covering geodesic assignment wins.  One search,
+(always containing every forced vertex, below), and the first subset
+that admits a covering geodesic assignment wins.  One search,
 ``verify._search``, decides each candidate by growing a chain of
 committed vertices per pair, and builds the witness of the first set
 it accepts from those chains.
@@ -14,8 +14,16 @@ grows I[S] as it adds vertices, and runs the decision search only on
 sets with I[S] = V.  This skips no success: the search covers at most
 I[S], and fails at once otherwise.  The diameter, the geodesic counts
 and the intervals come from one geodesic DAG per vertex, built once per
-call; the closure rows and the search's segments read the intervals off
-one segment table.
+call; the closure rows are read straight off its levels, and only the
+search fills the segment table.
+
+A simplicial vertex (its neighbours pairwise adjacent) is on no
+geodesic's interior, so it is in every geodetic set (Chartrand, Harary
+and Zhang, Networks 2002) and is forced.  A set lacking one fails the
+closure filter, and shared vertices never decide the lex order of two
+sets of one size, so the same sets reach the search in the same order.
+A set holding a pair over the geodesic cap passes the filter whatever it
+covers, so with such a pair only degree-1 vertices are forced.
 
 A fixed u-v geodesic holds at most d(u, v) - 1 vertices besides u and v,
 so the paths of S hold at most |S| + sum over its pairs of (d(u, v) - 1)
@@ -51,6 +59,7 @@ from .graph import (
     Graph,
     diameter,
     is_connected,
+    iter_bits,
 )
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
@@ -77,9 +86,11 @@ def _lower_bound(n: int, d: int) -> int:
 
 
 def forced_vertices(g: Graph) -> set[int]:
-    """Degree-1 vertices; they lie on no geodesic interior, so any
+    """Simplicial vertices, whose neighbours are pairwise adjacent (every
+    degree-1 vertex is one); they lie on no geodesic interior, so any
     strong geodetic set must contain them."""
-    return {v for v in range(g.n) if g.degree(v) == 1}
+    adj = g.adj
+    return {v for v, row in enumerate(adj) if all(row & ~adj[a] == 1 << a for a in iter_bits(row))}
 
 
 def twin_predecessors(g: Graph) -> list[int]:
@@ -114,26 +125,25 @@ def sg_exact(
     cache = _PairCache(g, cap)
     dags = [cache.geo.dag(u) for u in range(g.n)]
     d = max(len(levels) for levels, _, _ in dags) - 1
-    forced = sorted(forced_vertices(g))
+    full = (1 << g.n) - 1
+    # rows[w][u] is the interval I(u, w), the levels k from u and d(u, w) - k
+    # from w met, plus bit n when u and w are joined by more than ``cap``
+    # geodesics.  A set whose closure has bit n goes to the search, which
+    # then raises GeodesicExplosion for the set's first such pair.
+    rows = [[0] * g.n for _ in range(g.n)]
+    for u, (levels, dist, sigma) in enumerate(dags):
+        for w in range(u + 1, g.n):
+            back, k = dags[w][0], dist[w]
+            rows[u][w] = rows[w][u] = sum(levels[i] & back[k - i] for i in range(k + 1)) | (sigma[w] > cap) << g.n
+
+    # The path budget and the simplicial forced set (module docstring) are
+    # off, goal 0, when some pair is over the cap.
+    goal = 0 if any(max(row) >> g.n for row in rows) else g.n
+    forced = sorted(forced_vertices(g)) if goal else [v for v in range(g.n) if g.degree(v) == 1]
     free = [v for v in range(g.n) if v not in set(forced)]
     # In a complete graph geodesics are single edges and cover nothing
     # new, so only V itself passes the closure filter.
     start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), 2)
-    full = (1 << g.n) - 1
-    # rows[w][u] is the interval I(u, w), read off the segment table, plus
-    # bit n when u and w are joined by more than ``cap`` geodesics.  A set
-    # whose closure has bit n goes to the search, which then raises
-    # GeodesicExplosion for the set's first such pair, as it does for any
-    # set that meets one.
-    rows = [[0] * g.n for _ in range(g.n)]
-    for u, (_, _, sigma) in enumerate(dags):
-        for w in range(u + 1, g.n):
-            rows[u][w] = rows[w][u] = cache.get(u, w)[1] | (sigma[w] > cap) << g.n
-
-    # The path budget (module docstring) is off, goal 0, when some pair is
-    # over the cap: a set holding that pair must reach the search, which
-    # raises for it.
-    goal = 0 if any(max(row) >> g.n for row in rows) else g.n
     # gaps[w][p] = d(w, free[p]) - 1, the most a fixed w-free[p] geodesic
     # adds to the budget.
     gaps = [[dist[x] - 1 for x in free] for _, dist, _ in dags]

@@ -1,6 +1,8 @@
 import functools
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -60,18 +62,6 @@ class TestLowerBound:
     def test_small_diameter_rejected(self):
         with pytest.raises(DiameterTooSmall):
             lower_bound_general(complete_graph(4))
-
-
-class TestForcedVertices:
-    def test_star_leaves(self):
-        g = complete_bipartite(1, 5)
-        assert forced_vertices(g) == {1, 2, 3, 4, 5}
-
-    def test_regular_graph_has_none(self):
-        assert forced_vertices(hypercube(3)) == set()
-
-    def test_path_endpoints(self):
-        assert forced_vertices(path_graph(3)) == {0, 2}
 
 
 class TestExact:
@@ -138,6 +128,9 @@ class TestExact:
             assert res.value == sg_crown(n).value, n
 
 
+POOL = Path(__file__).resolve().parents[1] / "clibench" / "random_pool.json"
+
+
 class TestExactProperties:
     def test_bounds_and_witnesses_on_random_graphs(self):
         rng = random.Random(11)
@@ -164,6 +157,15 @@ class TestExactProperties:
         sg_exact(g)
         assert len(sources) <= g.n + 1
 
+    def test_random_pool(self):
+        # The exact_random benchmark's 90 graphs on 14 to 18 vertices, each
+        # with the sg value a brute-force search over all sets gave.
+        for entry in json.loads(POOL.read_text())["graphs"]:
+            g = graph_from_edges(entry["n"], entry["edges"])
+            res = sg_exact(g)
+            assert res.value == entry["sg"], entry["id"]
+            assert verify_witness(g, res.witness).covered, entry["id"]
+
     def test_lower_bound_respected(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -182,9 +184,10 @@ def subsets_with_forced(free, forced, t):
 
 
 def reference_exact(g, cap, rejected):
-    """sg_exact without the closure filter: the decision search on every
-    candidate set.  Sets whose interval closure is not V are collected in
-    ``rejected`` with the search's verdict on them."""
+    """sg_exact without the closure filter and with only the leaves forced:
+    the decision search on every candidate set.  Sets whose interval
+    closure is not V are collected in ``rejected`` with the search's
+    verdict on them."""
     if diameter(g) <= 1:
         return g.n, make_witness(range(g.n), {p: list(p) for p in combinations(range(g.n), 2)})
     geo = Geodesics(g)
@@ -203,6 +206,17 @@ def reference_exact(g, cap, rejected):
             if w is not None:
                 return t, w
     raise AssertionError("search must succeed at t = |V|")
+
+
+def closure_seed_graph(seed):
+    """A random spanning tree on 5 to 11 vertices plus up to 2n random edges."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 11)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return graph_from_edges(n, edges)
 
 
 def outcome(solve):
@@ -261,13 +275,9 @@ class TestClosureFilter:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference_loop(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(5, 11)
-        edges = {(rng.randrange(v), v) for v in range(1, n)}
-        for _ in range(rng.randint(0, 2 * n)):
-            u, v = sorted(rng.sample(range(n), 2))
-            edges.add((u, v))
-        self.assert_matches_reference(graph_from_edges(n, edges))
+        # 23 of these graphs have a simplicial vertex that is not a leaf,
+        # which sg_exact forces and the reference loop does not.
+        self.assert_matches_reference(closure_seed_graph(seed))
 
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_matches_reference_loop_on_symmetric_graphs(self, name):
@@ -302,6 +312,51 @@ AGREEMENT = {
     "C4": cycle(4),
     "C6": cycle(6),
 }
+
+
+class TestForcedVertices:
+    def test_star_leaves(self):
+        g = complete_bipartite(1, 5)
+        assert forced_vertices(g) == {1, 2, 3, 4, 5}
+
+    def test_regular_graph_has_none(self):
+        assert forced_vertices(hypercube(3)) == set()
+
+    def test_path_endpoints(self):
+        assert forced_vertices(path_graph(3)) == {0, 2}
+
+    def test_complete_graph_all(self):
+        assert forced_vertices(complete_graph(4)) == {0, 1, 2, 3}
+
+    def test_cycle_has_none(self):
+        assert forced_vertices(cycle(4)) == set()
+
+    def test_triangle_with_pendant(self):
+        # 2 carries the pendant 3; its neighbours 0, 1 and 3 are not a clique.
+        g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert forced_vertices(g) == {0, 1, 3}
+
+    @pytest.mark.parametrize("name", [*AGREEMENT, *(f"seed{seed}" for seed in range(40))])
+    def test_witnesses_hold_every_simplicial_vertex(self, name):
+        # Only caps that no pair exceeds: over the cap only leaves are forced.
+        g = AGREEMENT[name] if name in AGREEMENT else closure_seed_graph(int(name[4:]))
+        geo = Geodesics(g)
+        most = max(max(geo.dag(u)[2]) for u in range(g.n))
+        for cap in (10**6, 2, 1):
+            if most <= cap:
+                assert forced_vertices(g) <= set(sg_exact(g, cap=cap).witness.vertices), cap
+
+    def test_over_cap_switch(self):
+        # The house: the square 0-1-4-3 with the roof 2 on the edge 0-1.
+        # Roof 2 is simplicial, and pairs 1-3 and 0-4 have two geodesics.
+        # At cap 1 only leaves are forced, so {0, 1, 3} reaches the search
+        # and raises before any set holding 2 would, for 0-4 in {0, 2, 4}.
+        g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)])
+        assert forced_vertices(g) == {2}
+        with pytest.raises(GeodesicExplosion) as exc:
+            sg_exact(g, cap=1)
+        assert str(exc.value) == "2 geodesics between 1 and 3 exceed cap 1"
+        assert sg_exact(g, cap=2).witness.vertices == (0, 2, 4)
 
 
 def brute_force_strong(g, sel, cap):
