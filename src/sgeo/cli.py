@@ -24,7 +24,6 @@ from .errors import (
     AssignmentInfeasible,
     DiameterTooSmall,
     Disconnected,
-    GeodesicExplosion,
     MalformedWitness,
     ParseError,
     SgeoError,
@@ -32,7 +31,6 @@ from .errors import (
 )
 
 _RESOURCE_ERRORS = (
-    GeodesicExplosion,
     SizeLimitExceeded,
     Disconnected,
     DiameterTooSmall,
@@ -43,26 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_UNCOVERED = 4
-
-
-def _positive(name: str, value) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number <= 0:
-        raise SgeoError(f"{name} must be a positive integer, got {value!r}")
-    return number
-
-
-def _cap(args) -> int:
-    """``--cap``, else a nonempty ``SG_GEODESIC_CAP``, else the default."""
-    if args.cap is not None:
-        return _positive("--cap", args.cap)
-    env = os.environ.get("SG_GEODESIC_CAP")
-    if env:
-        return _positive("SG_GEODESIC_CAP", env)
-    return graph.DEFAULT_GEODESIC_CAP
 
 
 def _emit(doc) -> None:
@@ -108,10 +86,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    cap = _cap(args)
-    max_size = _positive("--max-size", args.max_size)
+    if args.max_size <= 0:
+        raise SgeoError(f"--max-size must be a positive integer, got {args.max_size}")
     g = _load_graph(args.graph)
-    result = solver.sg_exact(g, cap=cap, max_vertices=max_size)
+    result = solver.sg_exact(g, max_vertices=args.max_size)
     _emit(result.to_dict())
     return EXIT_OK
 
@@ -233,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact strong geodetic number of a graph file")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-size", type=int, default=solver.DEFAULT_MAX_VERTICES)
     p.set_defaults(func=cmd_exact)
 

@@ -207,9 +207,15 @@ def _boundary_chains(d: int, seqs: list[list[int]]) -> dict[int, tuple[list[int]
 
     Early crossings along the diagonal paths put the thinned interiors
     on the far side of the block boundary for every prefix line; near
-    sides come from the end-crossing chains of the other suffixes.
+    sides come from the end-crossing chains of the other suffixes.  The
+    first path's chain crosses at index 0, so each spread vertex pv steps
+    straight to pv|mid: these far-side vertices of suffix 0 were covered
+    by the routes to the block anchor, which the thinning removes, and
+    the all-ones spread vertex steps to the anchor itself.  That path is
+    the canonical chain of the all-ones suffix, which still crosses at
+    its end, so its near side stays covered.
     """
-    chains = {seqs[0][d - 1]: (seqs[0][:d], 1)}
+    chains = {seqs[0][d - 1]: (seqs[0][:d], 0)}
     for seq in seqs[1:]:
         chains[seq[d - 1]] = (seq[:d], d - 1)
         chains[seq[d - 2]] = (seq[: d - 1], 1)
@@ -236,14 +242,14 @@ def _diagonal_paths(d: int) -> list[list[int]]:
 
 def _thinning(d: int, top: int) -> tuple[list[int], dict, dict]:
     """Removed suffixes, boundary chains and plan fields of the thinned
-    block: the deep interior of the d diagonal paths goes, keeping both
-    ends, every path's last interior vertex and all but the first path's
-    second-to-last."""
+    block: the d diagonal paths go, their common start 0 included,
+    keeping their common end, every path's last interior vertex and all
+    but the first path's second-to-last, (d - 1)(d - 2) suffixes in all."""
     seqs = _diagonal_paths(d)
     full = (1 << d) - 1
     xs = [seq[d - 1] for seq in seqs]
     ys = [seq[d - 2] for seq in seqs]
-    kept = {0, full} | set(xs) | set(ys[1:])
+    kept = {full} | set(xs) | set(ys[1:])
     removed = sorted({c for seq in seqs for c in seq} - kept)
     fields = {
         "u": top | full,
@@ -256,12 +262,13 @@ def _thinning(d: int, top: int) -> tuple[list[int], dict, dict]:
 
 
 def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
-    """Thinned two-block witness: the basic template less the deep
-    interior of a family of disjoint diagonal paths in the top block.
+    """Thinned two-block witness: the basic template less the start and
+    deep interior of a family of disjoint diagonal paths in the top block,
+    (n0 - 2)(n0 - 3) vertices, so it has the formula's target size.
 
     Removing suffixes from the block loses their boundary routes, so
     chains along the diagonal paths cross the block boundary early
-    (covering the removed interiors on the far side); all others cross
+    (covering the removed suffixes on the far side); all others cross
     at their endpoint.  The report carries the formula target and the
     achieved size.
     """

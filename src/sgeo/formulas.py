@@ -9,11 +9,11 @@ never left to floating point.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 from typing import Optional
 
 from .errors import OutOfRange
-from .intmath import ceil_sqrt_ratio, is_perfect_square, least_t_with_square_multiple
+from .intmath import ceil_sqrt_ratio, is_perfect_square
 from .results import CrownSplit, FormulaTrace, SgResult
 
 
@@ -22,14 +22,8 @@ def f_val(n: int, p: int) -> int:
     if not 0 <= p <= n:
         raise OutOfRange(f"p={p} outside [0, {n}]")
     need = n - p
-    if need <= 0:
-        return 0
-    q = (1 + isqrt(1 + 8 * need)) // 2
-    while q * (q - 1) // 2 < need:
-        q += 1
-    while q > 0 and (q - 1) * (q - 2) // 2 >= need:
-        q -= 1
-    return q
+    # C(q,2) >= need  <=>  q >= (1 + sqrt(1 + 8 need)) / 2.
+    return ceil_sqrt_ratio(1, 1 + 8 * need, 2) if need > 0 else 0
 
 
 def g_val(m: int, p: int) -> int:
@@ -187,7 +181,8 @@ def hypercube_lower(n: int) -> int:
     """Smallest t with t^2 (n-1) >= 2^(n+1); defined for n >= 2."""
     if n < 2:
         raise OutOfRange(f"lower bound needs n >= 2, got {n}")
-    return least_t_with_square_multiple(2 ** (n + 1), n - 1)
+    # t^2 (n-1) >= 2^(n+1)  <=>  t >= sqrt(2^(n+1) (n-1)) / (n-1).
+    return ceil_sqrt_ratio(0, 2 ** (n + 1) * (n - 1), n - 1)
 
 
 def hypercube_upper_basic_at(n: int, n0: int) -> int:

@@ -15,10 +15,6 @@ def is_perfect_square(x: int) -> bool:
     return r * r == x
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def ceil_sqrt_ratio(a: int, disc: int, b: int) -> int:
     """Smallest integer t with t >= (a + sqrt(disc)) / b, for b > 0, disc >= 0.
 
@@ -34,16 +30,3 @@ def ceil_sqrt_ratio(a: int, disc: int, b: int) -> int:
         t += 1
     return t
 
-
-def least_t_with_square_multiple(rhs: int, factor: int) -> int:
-    """Smallest t >= 0 with t*t*factor >= rhs (factor > 0)."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    if rhs <= 0:
-        return 0
-    t = isqrt(ceil_div(rhs, factor))
-    while t * t * factor < rhs:
-        t += 1
-    while t > 0 and (t - 1) * (t - 1) * factor >= rhs:
-        t -= 1
-    return t

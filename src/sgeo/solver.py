@@ -12,18 +12,16 @@ A strong geodetic set is first of all a geodetic set: the union I[S] of
 its vertices' pairwise intervals must be every vertex.  The enumeration
 grows I[S] as it adds vertices, and runs the decision search only on
 sets with I[S] = V.  This skips no success: the search covers at most
-I[S], and fails at once otherwise.  The diameter, the geodesic counts
-and the intervals come from one geodesic DAG per vertex, built once per
-call; the closure rows are read straight off its levels, and only the
-search fills the segment table.
+I[S], and fails at once otherwise.  The diameter and the intervals
+come from one geodesic DAG per vertex, built once per call; the closure
+rows are read straight off its levels, and only the search fills the
+segment table.
 
 A simplicial vertex (its neighbours pairwise adjacent) is on no
 geodesic's interior, so it is in every geodetic set (Chartrand, Harary
 and Zhang, Networks 2002) and is forced.  A set lacking one fails the
 closure filter, and shared vertices never decide the lex order of two
 sets of one size, so the same sets reach the search in the same order.
-A set holding a pair over the geodesic cap passes the filter whatever it
-covers, so with such a pair only degree-1 vertices are forced.
 
 A fixed u-v geodesic holds at most d(u, v) - 1 vertices besides u and v,
 so the paths of S hold at most |S| + sum over its pairs of (d(u, v) - 1)
@@ -34,18 +32,16 @@ span, the sum of d(u, w) - 1 over the chosen u.  It skips every set
 whose budget is below n, and every branch whose best completion is:
 each vertex still to come adds 1 plus one of the largest spans left,
 and d - 1 per pair among them.  Such a set cannot cover V, so the
-search would reject it: no success is skipped.  A set with a pair over
-the geodesic cap must still reach the search, which raises for it, so
-the budget is off for a graph with any such pair.
+search would reject it: no success is skipped.
 
 Twins (equal open or closed neighbourhoods) swap by a transposition,
 an automorphism, so a twin class contributes its smallest members
 first: a set holding a twin but not its next smaller twin is skipped.
-Success, closure and over-cap pairs are invariant under automorphism,
-so the first set where one happens is the lex-smallest of its orbit
-(its lex-leader).  A lex-leader holds each twin's smaller twins, since
-the swap would otherwise map it lex-below itself, so it is never
-skipped: values, witnesses and errors stay the same.
+Success and closure are invariant under automorphism, so the first set
+where one happens is the lex-smallest of its orbit (its lex-leader).  A
+lex-leader holds each twin's smaller twins, since the swap would
+otherwise map it lex-below itself, so it is never skipped: values and
+witnesses stay the same.
 """
 
 from __future__ import annotations
@@ -54,13 +50,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import Disconnected, DiameterTooSmall, SizeLimitExceeded
-from .graph import (
-    DEFAULT_GEODESIC_CAP,
-    Graph,
-    diameter,
-    is_connected,
-    iter_bits,
-)
+from .graph import Graph, diameter, is_connected, iter_bits
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
 from .verify import Witness, _PairCache, _search
@@ -104,11 +94,7 @@ def twin_predecessors(g: Graph) -> list[int]:
     return need
 
 
-def sg_exact(
-    g: Graph,
-    cap: int = DEFAULT_GEODESIC_CAP,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> SgResult:
+def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     """Exact strong geodetic number with a verified witness.
 
     ``max_vertices`` is a soft safety limit (raise it explicitly for
@@ -122,24 +108,19 @@ def sg_exact(
         )
     if g.n == 1:
         return SgResult(1, "exact", witness=Witness((0,), ()))
-    cache = _PairCache(g, cap)
+    cache = _PairCache(g)
     dags = [cache.geo.dag(u) for u in range(g.n)]
     d = max(len(levels) for levels, _, _ in dags) - 1
     full = (1 << g.n) - 1
     # rows[w][u] is the interval I(u, w), the levels k from u and d(u, w) - k
-    # from w met, plus bit n when u and w are joined by more than ``cap``
-    # geodesics.  A set whose closure has bit n goes to the search, which
-    # then raises GeodesicExplosion for the set's first such pair.
+    # from w met.
     rows = [[0] * g.n for _ in range(g.n)]
-    for u, (levels, dist, sigma) in enumerate(dags):
+    for u, (levels, dist, _) in enumerate(dags):
         for w in range(u + 1, g.n):
             back, k = dags[w][0], dist[w]
-            rows[u][w] = rows[w][u] = sum(levels[i] & back[k - i] for i in range(k + 1)) | (sigma[w] > cap) << g.n
+            rows[u][w] = rows[w][u] = sum(levels[i] & back[k - i] for i in range(k + 1))
 
-    # The path budget and the simplicial forced set (module docstring) are
-    # off, goal 0, when some pair is over the cap.
-    goal = 0 if any(max(row) >> g.n for row in rows) else g.n
-    forced = sorted(forced_vertices(g)) if goal else [v for v in range(g.n) if g.degree(v) == 1]
+    forced = sorted(forced_vertices(g))
     free = [v for v in range(g.n) if v not in set(forced)]
     # In a complete graph geodesics are single edges and cover nothing
     # new, so only V itself passes the closure filter.
@@ -159,7 +140,7 @@ def sg_exact(
         # left to add, the last chosen vertex's gaps row: only nodes with
         # more to add sort their spans, so only they need the sum.
         if not left:
-            if closure < full or budget < goal:
+            if closure < full or budget < g.n:
                 return None
             return _search(g, sorted(chosen), cache)
         more = left - 1
@@ -179,7 +160,7 @@ def sg_exact(
                 # here and gaps[w] is at most d - 1.
                 grown_span, grown_gap = span, gaps[w]
                 top = more and max(span[j + 1:]) + d - 1
-            if size + rest + top < goal:
+            if size + rest + top < g.n:
                 continue
             row = rows[w]
             grown = closure | 1 << w

@@ -25,15 +25,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .errors import Disconnected, MalformedWitness
-from .graph import (
-    DEFAULT_GEODESIC_CAP,
-    Geodesics,
-    Graph,
-    Path,
-    bfs_levels,
-    is_connected,
-    path_defect,
-)
+from .graph import Geodesics, Graph, Path, bfs_levels, is_connected, path_defect
 
 
 class PairGeodesic(NamedTuple):
@@ -162,8 +154,7 @@ class _PairCache:
     in ``geo``), its union, and its forced part, the union of the levels
     that hold one vertex, which every a-b geodesic passes."""
 
-    def __init__(self, g: Graph, cap: int):
-        self.cap = cap
+    def __init__(self, g: Graph):
         self.geo = Geodesics(g)
         self.data: dict[tuple[int, int], tuple[list[int], int, int]] = {}
 
@@ -194,10 +185,6 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     """
     full = (1 << g.n) - 1
     pairs = list(combinations(sel, 2))
-    # Every pair is counted, in combinations order, before any branching,
-    # so the first over-cap pair raises whatever the set covers.
-    for u, v in pairs:
-        cache.geo.count(u, v, cache.cap)
     get = cache.get
     entries = [get(u, v) for u, v in pairs]
     covered = sum(1 << v for v in sel)
@@ -268,9 +255,7 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     return make_witness(sel, dict(zip(pairs, paths)))
 
 
-def is_strong_geodetic_set(
-    g: Graph, vertices, cap: int = DEFAULT_GEODESIC_CAP
-) -> Optional[Witness]:
+def is_strong_geodetic_set(g: Graph, vertices) -> Optional[Witness]:
     """Search for a covering geodesic assignment over the given set.
 
     Returns a witness, or None when no assignment covers the graph.  The
@@ -278,9 +263,7 @@ def is_strong_geodetic_set(
     vertices in ascending order and trying the pairs that reach one in
     combinations order; each pair's path is the lexicographically first
     geodesic through the vertices the search committed it to.  Raises
-    Disconnected for disconnected graphs and GeodesicExplosion, before
-    any search, for the first pair (in combinations order) joined by
-    more than ``cap`` geodesics.
+    Disconnected for disconnected graphs.
     """
     sel = sorted(set(vertices))
     if not sel:
@@ -290,4 +273,4 @@ def is_strong_geodetic_set(
     for v in sel:
         if not 0 <= v < g.n:
             raise MalformedWitness(f"vertex {v} not in graph")
-    return _search(g, sel, _PairCache(g, cap))
+    return _search(g, sel, _PairCache(g))

@@ -143,14 +143,8 @@ def test_criterion_6_construction_validity():
         achieved = built.report["achieved_size"]
         target = built.report["target_size"]
         assert achieved <= hypercube_upper_basic_at(n, n0), n
-        assert achieved in (target, target + 1), (n, achieved, target)
-        if achieved == target:
-            resolutions.append(f"n={n}: formula target {target} achieved")
-        else:
-            resolutions.append(
-                f"n={n}: size {achieved} = target {target} + 1 "
-                f"(removal accounting, {built.report['repairs']} repairs)"
-            )
+        assert achieved == target, (n, achieved, target)
+        resolutions.append(f"n={n}: formula target {target} achieved")
     elapsed = time.perf_counter() - start
     for line in resolutions:
         print("  " + line)

@@ -90,22 +90,16 @@ class TestExact:
         assert json.loads(err)["payload"]["code"] == "DimensionTooLarge"
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv, message",
         [
-            (["--cap", "0"], None),
-            (["--cap", "-5"], None),
-            (["--max-size", "-1"], None),
-            (["--max-size", "0"], None),
-            ([], "abc"),
-            ([], "0"),
-            ([], "2.5"),
+            # exact has no geodesic cap; the flag is a usage error.
+            (["--cap", "6"], "unrecognized arguments: --cap 6"),
+            (["--max-size", "-1"], "must be a positive integer"),
+            (["--max-size", "0"], "must be a positive integer"),
         ],
-        ids=["cap-0", "cap-negative", "max-size-negative", "max-size-0",
-             "env-word", "env-0", "env-float"],
+        ids=["cap-flag", "max-size-negative", "max-size-0"],
     )
-    def test_limits_must_be_positive(self, capsys, tmp_path, monkeypatch, argv, env):
-        if env is not None:
-            monkeypatch.setenv("SG_GEODESIC_CAP", env)
+    def test_limits_must_be_positive(self, capsys, tmp_path, argv, message):
         _, out, _ = run(capsys, "gen", "hypercube", "3")
         graph_file = tmp_path / "q3.txt"
         graph_file.write_text(out)
@@ -113,15 +107,7 @@ class TestExact:
         assert code == 2 and out == ""
         doc = json.loads(err)
         assert doc["status"] == "error"
-        assert "must be a positive integer" in doc["payload"]["message"]
-
-    def test_cap_flag_overrides_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SG_GEODESIC_CAP", "abc")
-        _, out, _ = run(capsys, "gen", "hypercube", "3")
-        graph_file = tmp_path / "q3.txt"
-        graph_file.write_text(out)
-        code, out, _ = run(capsys, "exact", str(graph_file), "--cap", "6")
-        assert code == 0 and json.loads(out)["value"] == 4
+        assert message in doc["payload"]["message"]
 
 
 class TestFormula:
@@ -198,7 +184,7 @@ class TestConstruct:
         _, out, _ = run(capsys, "construct", "hypercube", "8", "--n0", "5", "--improved")
         doc = json.loads(out)
         assert doc["report"]["target_size"] == 18
-        assert doc["report"]["achieved_size"] == 19
+        assert doc["report"]["achieved_size"] == 18
 
     def test_assignment_infeasible_exits_3(self, capsys, monkeypatch):
         real = construct.verify_witness
@@ -216,12 +202,12 @@ class TestConstruct:
         assert doc["payload"]["code"] == "AssignmentInfeasible"
 
     def test_pair_budget(self, capsys):
-        # 1,960 vertices, about 1.9 million pairs: rejected before routing.
+        # 1,959 vertices, about 1.9 million pairs: rejected before routing.
         code, out, err = run(capsys, "construct", "hypercube", "12", "--n0", "12", "--improved")
         assert code == 2 and out == ""
         doc = json.loads(err)
         assert doc["payload"]["code"] == "OutOfRange"
-        assert "1960 vertices" in doc["payload"]["message"]
+        assert "1959 vertices" in doc["payload"]["message"]
 
     def test_kbipartite_pair_budget(self, capsys):
         # sg(K(3,2000)) = 2000, about 2 million pairs: rejected before routing.
@@ -492,13 +478,3 @@ class TestUsage:
         assert exit_code == 2 and out == ""
         doc = json.loads(err)
         assert doc["status"] == "error" and doc["payload"]["code"] == code
-
-    def test_cap_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SG_GEODESIC_CAP", "2")
-        _, out, _ = run(capsys, "gen", "hypercube", "3")
-        graph_file = tmp_path / "q3.txt"
-        graph_file.write_text(out)
-        # Antipodal pairs have 6 geodesics; a cap of 2 must trip.
-        code, _, err = run(capsys, "exact", str(graph_file))
-        assert code == 3
-        assert json.loads(err)["payload"]["code"] == "GeodesicExplosion"

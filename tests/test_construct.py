@@ -195,11 +195,9 @@ class TestHypercubeImproved:
         assert verify_witness(hypercube(10), built.witness).covered
 
     def test_achieved_close_to_target(self):
-        # The deep-interior removal keeps one more vertex than the
-        # stated count; the verifier passes at target + 1.
         for n, n0 in [(4, 4), (6, 4), (8, 5), (9, 5)]:
             built = build_hypercube_improved(n, n0)
-            assert built.report["achieved_size"] == built.report["target_size"] + 1
+            assert built.report["achieved_size"] == built.report["target_size"]
             assert built.report["repairs"] == 0
 
     def test_improved_beats_basic(self):
@@ -223,10 +221,9 @@ class TestHypercubeImproved:
                 assert not interiors[i] & interiors[j]
 
     def test_removed_set_accounting(self):
-        # The removal set is one smaller than (n0-2)(n0-3).
         for n, n0 in [(8, 4), (9, 5), (10, 6), (12, 7)]:
             built = build_hypercube_improved(n, n0)
-            assert len(built.plan.F) == (n0 - 2) * (n0 - 3) - 1
+            assert len(built.plan.F) == (n0 - 2) * (n0 - 3)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):

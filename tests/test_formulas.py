@@ -203,6 +203,12 @@ class TestHypercubeBounds:
     def test_basic(self, n, expected):
         assert hypercube_upper_basic(n) == expected
 
+    def test_lower_is_least_t_with_square_multiple(self):
+        # The defining inequality: t^2 (n-1) >= 2^(n+1) > (t-1)^2 (n-1).
+        for n in range(2, 3001):
+            t = hypercube_lower(n)
+            assert t * t * (n - 1) >= 2 ** (n + 1) > (t - 1) ** 2 * (n - 1), n
+
     def test_basic_closed_form_parity(self):
         # The minimum over block splits equals the even/odd closed form.
         for n in range(1, 61):

@@ -23,7 +23,7 @@ CONSTRUCT = {
     "hypercube 8 --n0 5 --improved": (
         hypercube(8),
         ["hypercube", "8", "--n0", "5", "--improved"],
-        "1a8b65b48b531c37c2a0aabde8322d8ae1da5ab5f9963d14ece031f119c284c9",
+        "e082d868ff2ac12a75069dbad7794d86bd2c5ec0c1fba33569a942ef589cb6b2",
     ),
     # The frame's edges: a one-vertex block (n0 = 1) and a one-vertex
     # spread (n0 = n).
@@ -41,7 +41,7 @@ CONSTRUCT = {
     "hypercube 7 --n0 4 --improved": (
         hypercube(7),
         ["hypercube", "7", "--n0", "4", "--improved"],
-        "f8115989aef6e13e59efbac121597a16dba760bed879c66740240035d2464a37",
+        "8b0a07b43fe6cdc4b5e8b4a10174cd5d101fbb7e1fd12ac20ade69db3e4c26dc",
     ),
     "crown 6": (
         crown(6),

@@ -9,7 +9,6 @@ import pytest
 from sgeo import (
     DiameterTooSmall,
     Disconnected,
-    GeodesicExplosion,
     SizeLimitExceeded,
     complete_bipartite,
     crown,
@@ -17,6 +16,7 @@ from sgeo import (
     forced_vertices,
     graph_from_edges,
     hypercube,
+    is_strong_geodetic_set,
     lower_bound_general,
     sg_complete_bipartite,
     sg_crown,
@@ -26,7 +26,7 @@ from sgeo import (
 from sgeo import graph, solver
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
-from sgeo.verify import Witness, _PairCache, _search, make_witness
+from sgeo.verify import _PairCache, _search, make_witness
 
 
 def path_graph(n):
@@ -112,6 +112,21 @@ class TestExact:
         assert res.value == 21
         assert verify_witness(g, res.witness).covered
 
+    def test_ladder_with_more_geodesics_than_enumeration_allows(self):
+        # 0, then 20 levels of two vertices, each level joined to the next
+        # in full, then 41: 2^20 geodesics join 0 and 41, more than
+        # enumerate_geodesics lists, yet neither the solver nor the search
+        # lists any.
+        edges = [(0, 1), (0, 2), (39, 41), (40, 41)]
+        edges += [(a, b) for i in range(19)
+                  for a in (2 * i + 1, 2 * i + 2) for b in (2 * i + 3, 2 * i + 4)]
+        g = graph_from_edges(42, edges)
+        res = sg_exact(g, max_vertices=42)
+        assert res.value == 3
+        assert verify_witness(g, res.witness).covered
+        w = is_strong_geodetic_set(g, [0, 1, 41])
+        assert w is not None and verify_witness(g, w).covered
+
     def test_k77_matches_balanced_form(self):
         res = sg_exact(complete_bipartite(7, 7))
         assert res.value == 7
@@ -183,7 +198,7 @@ def subsets_with_forced(free, forced, t):
         yield sorted(forced + list(combo))
 
 
-def reference_exact(g, cap, rejected):
+def reference_exact(g, rejected):
     """sg_exact without the closure filter and with only the leaves forced:
     the decision search on every candidate set.  Sets whose interval
     closure is not V are collected in ``rejected`` with the search's
@@ -193,7 +208,7 @@ def reference_exact(g, cap, rejected):
     geo = Geodesics(g)
     forced = sorted(v for v in range(g.n) if g.degree(v) == 1)
     free = [v for v in range(g.n) if v not in forced]
-    cache = _PairCache(g, cap)
+    cache = _PairCache(g)
     start = max(_lower_bound(g.n, diameter(g)), len(forced), 2)
     for t in range(start, g.n + 1):
         for sel in subsets_with_forced(free, forced, t):
@@ -217,13 +232,6 @@ def closure_seed_graph(seed):
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     return graph_from_edges(n, edges)
-
-
-def outcome(solve):
-    try:
-        return solve()
-    except GeodesicExplosion as exc:
-        return str(exc)
 
 
 def cycle(n):
@@ -263,15 +271,11 @@ SYMMETRIC = {
 class TestClosureFilter:
     @staticmethod
     def assert_matches_reference(g):
-        for cap in (10**6, 2, 1):
-            rejected = []
-            expected = outcome(lambda: reference_exact(g, cap, rejected))
-            assert all(w is None for w in rejected)
-            got = outcome(lambda: sg_exact(g, cap=cap))
-            if isinstance(expected, str):
-                assert got == expected, cap
-            else:
-                assert (got.value, got.witness) == expected, cap
+        rejected = []
+        expected = reference_exact(g, rejected)
+        assert all(w is None for w in rejected)
+        got = sg_exact(g)
+        assert (got.value, got.witness) == expected
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference_loop(self, seed):
@@ -284,12 +288,6 @@ class TestClosureFilter:
         # The twin rule skips most candidate sets of the twin-rich graphs
         # here; the reference loop skips none.
         self.assert_matches_reference(SYMMETRIC[name])
-
-    def test_explosion_message(self):
-        # The message sg_exact gave before the closure filter existed.
-        with pytest.raises(GeodesicExplosion) as exc:
-            sg_exact(hypercube(3), cap=2)
-        assert str(exc.value) == "6 geodesics between 1 and 6 exceed cap 2"
 
 
 def seeded_connected_graph(seed):
@@ -338,34 +336,23 @@ class TestForcedVertices:
 
     @pytest.mark.parametrize("name", [*AGREEMENT, *(f"seed{seed}" for seed in range(40))])
     def test_witnesses_hold_every_simplicial_vertex(self, name):
-        # Only caps that no pair exceeds: over the cap only leaves are forced.
         g = AGREEMENT[name] if name in AGREEMENT else closure_seed_graph(int(name[4:]))
-        geo = Geodesics(g)
-        most = max(max(geo.dag(u)[2]) for u in range(g.n))
-        for cap in (10**6, 2, 1):
-            if most <= cap:
-                assert forced_vertices(g) <= set(sg_exact(g, cap=cap).witness.vertices), cap
+        assert forced_vertices(g) <= set(sg_exact(g).witness.vertices)
 
     def test_over_cap_switch(self):
         # The house: the square 0-1-4-3 with the roof 2 on the edge 0-1.
-        # Roof 2 is simplicial, and pairs 1-3 and 0-4 have two geodesics.
-        # At cap 1 only leaves are forced, so {0, 1, 3} reaches the search
-        # and raises before any set holding 2 would, for 0-4 in {0, 2, 4}.
+        # Roof 2 is simplicial, so it is forced, although pairs 1-3 and
+        # 0-4 have two geodesics each.
         g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)])
         assert forced_vertices(g) == {2}
-        with pytest.raises(GeodesicExplosion) as exc:
-            sg_exact(g, cap=1)
-        assert str(exc.value) == "2 geodesics between 1 and 3 exceed cap 1"
-        assert sg_exact(g, cap=2).witness.vertices == (0, 2, 4)
+        assert sg_exact(g).witness.vertices == (0, 2, 4)
 
 
-def brute_force_strong(g, sel, cap):
+def brute_force_strong(g, sel):
     """Whether one geodesic per pair of sel covers g: a pair-order search
-    that tries every geodesic of each pair, pairs in combinations order.
-    Every pair's geodesics are listed before any is tried, so the first
-    pair over ``cap`` raises GeodesicExplosion."""
+    that tries every geodesic of each pair, pairs in combinations order."""
     options = [
-        {sum(1 << x for x in p) for p in enumerate_geodesics(g, u, v, cap)}
+        {sum(1 << x for x in p) for p in enumerate_geodesics(g, u, v)}
         for u, v in combinations(sel, 2)
     ]
     full = (1 << g.n) - 1
@@ -383,29 +370,24 @@ class TestDecide:
     @pytest.mark.parametrize("name", AGREEMENT)
     def test_agrees_with_pair_order_search(self, name):
         # Every set of size 1..5, whether or not it passes the closure
-        # filter, and with caps low enough that some pairs exceed them.
-        # Every witness the chain search builds must pass the verifier.
+        # filter.  Every witness the chain search builds must pass the
+        # verifier.
         g = AGREEMENT[name]
-        for cap in (10**6, 2, 1):
-            cache = _PairCache(g, cap)
-            for t in range(1, 6):
-                for sel in combinations(range(g.n), t):
-                    sel = list(sel)
-                    w = outcome(lambda: _search(g, sel, cache))
-                    expected = outcome(lambda: brute_force_strong(g, sel, cap))
-                    if isinstance(w, str):
-                        assert w == expected, (cap, sel)
-                        continue
-                    assert (w is not None) == expected, (cap, sel)
-                    if w is not None:
-                        assert w.vertices == tuple(sel)
-                        assert verify_witness(g, w).covered, (cap, sel)
+        cache = _PairCache(g)
+        for t in range(1, 6):
+            for sel in combinations(range(g.n), t):
+                sel = list(sel)
+                w = _search(g, sel, cache)
+                assert (w is not None) == brute_force_strong(g, sel), sel
+                if w is not None:
+                    assert w.vertices == tuple(sel)
+                    assert verify_witness(g, w).covered, sel
 
     def test_single_vertex(self):
         g = hypercube(0)
-        assert _search(g, [0], _PairCache(g, 1)) == make_witness([0], {})
+        assert _search(g, [0], _PairCache(g)) == make_witness([0], {})
         g = path_graph(2)
-        assert _search(g, [0], _PairCache(g, 1)) is None
+        assert _search(g, [0], _PairCache(g)) is None
 
 
 def path_budget(g, sel):
@@ -428,15 +410,13 @@ class TestPathBudget:
     @pytest.mark.parametrize("name", AGREEMENT)
     def test_sets_under_budget_fail(self, name):
         # sg_exact never decides a set whose budget is below n: the search
-        # must reject each such set, or raise for an over-cap pair.
+        # must reject each such set.
         g = AGREEMENT[name]
-        for cap in (10**6, 2, 1):
-            cache = _PairCache(g, cap)
-            for t in range(1, 6):
-                for sel in combinations(range(g.n), t):
-                    if path_budget(g, sel) < g.n:
-                        got = outcome(lambda: _search(g, list(sel), cache))
-                        assert not isinstance(got, Witness), (cap, sel)
+        cache = _PairCache(g)
+        for t in range(1, 6):
+            for sel in combinations(range(g.n), t):
+                if path_budget(g, sel) < g.n:
+                    assert _search(g, list(sel), cache) is None, sel
 
     @staticmethod
     def decided_sets(monkeypatch, g):
