@@ -30,12 +30,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-_RESOURCE_ERRORS = (
-    SizeLimitExceeded,
-    Disconnected,
-    DiameterTooSmall,
-    AssignmentInfeasible,
-)
+_RESOURCE_ERRORS = (SizeLimitExceeded, Disconnected, DiameterTooSmall, AssignmentInfeasible)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,8 +38,8 @@ EXIT_RESOURCE = 3
 EXIT_UNCOVERED = 4
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(doc, file=None) -> None:
+    print(json.dumps(doc, indent=2), file=file)
 
 
 def _fail(exc: SgeoError) -> int:
@@ -53,7 +48,7 @@ def _fail(exc: SgeoError) -> int:
         "payload": {"code": exc.code, "message": str(exc)},
         "diagnostics": [],
     }
-    print(json.dumps(doc, indent=2), file=sys.stderr)
+    _emit(doc, sys.stderr)
     return EXIT_RESOURCE if isinstance(exc, _RESOURCE_ERRORS) else EXIT_USAGE
 
 
@@ -65,22 +60,22 @@ def _load_graph(path: str) -> graph.Graph:
     return graph.from_edge_list(text)
 
 
-def _gen_graph(family: str, params: list[int]) -> graph.Graph:
-    if family == "hypercube":
-        if len(params) != 1:
-            raise SgeoError("hypercube takes one parameter")
-        return graph.hypercube(params[0])
-    if family == "kbipartite":
-        if len(params) != 2:
-            raise SgeoError("kbipartite takes two parameters")
-        return graph.complete_bipartite(params[0], params[1])
-    if len(params) != 1:
-        raise SgeoError("crown takes one parameter")
-    return graph.crown(params[0])
+# The number of parameters of each family.
+_ARITY = {"hypercube": 1, "kbipartite": 2, "crown": 1}
 
 
+def _params(args) -> list[int]:
+    """The family parameters of ``args``, checked against their count."""
+    want, got = _ARITY[args.family], len(args.params)
+    if got != want:
+        raise SgeoError(f"{args.command} {args.family} takes {want} parameter(s), got {got}")
+    return args.params
+
+
+# Looked up per call, so a wrapper installed on a module later is called.
 def cmd_gen(args) -> int:
-    g = _gen_graph(args.family, args.params)
+    make = {"hypercube": graph.hypercube, "kbipartite": graph.complete_bipartite, "crown": graph.crown}
+    g = make[args.family](*_params(args))
     sys.stdout.writelines(graph._edge_lines(g))
     return EXIT_OK
 
@@ -95,15 +90,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    if args.family == "kbipartite":
-        if len(args.params) != 2:
-            raise SgeoError("kbipartite takes two parameters")
-        result = formulas.sg_complete_bipartite(args.params[0], args.params[1])
-    else:
-        if len(args.params) != 1:
-            raise SgeoError("crown takes one parameter")
-        result = formulas.sg_crown(args.params[0])
-    _emit(result.to_dict())
+    closed_form = {"kbipartite": formulas.sg_complete_bipartite, "crown": formulas.sg_crown}
+    _emit(closed_form[args.family](*_params(args)).to_dict())
     return EXIT_OK
 
 
@@ -128,23 +116,15 @@ def cmd_bounds(args) -> int:
 def cmd_construct(args) -> int:
     if args.family != "hypercube" and (args.n0 is not None or args.improved):
         raise SgeoError("--n0 and --improved apply to construct hypercube only")
+    params = _params(args)
+    build = {"kbipartite": construct.build_bipartite_witness, "crown": construct.build_crown_witness}
     if args.family == "hypercube":
-        if len(args.params) != 1:
-            raise SgeoError("construct hypercube takes the dimension")
-        n = args.params[0]
-        n0 = args.n0 if args.n0 is not None else (n + 2) // 2
-        if args.improved:
-            built = construct.build_hypercube_improved(n, n0)
-        else:
-            built = construct.build_hypercube_basic(n, n0)
-    elif args.family == "kbipartite":
-        if len(args.params) != 2:
-            raise SgeoError("construct kbipartite takes two parameters")
-        built = construct.build_bipartite_witness(args.params[0], args.params[1])
-    else:
-        if len(args.params) != 1:
-            raise SgeoError("construct crown takes one parameter")
-        built = construct.build_crown_witness(args.params[0])
+        n = params[0]
+        params = [n, args.n0 if args.n0 is not None else (n + 2) // 2]
+        build[args.family] = (
+            construct.build_hypercube_improved if args.improved else construct.build_hypercube_basic
+        )
+    built = build[args.family](*params)
 
     doc = {
         "witness": verify.witness_to_dict(built.witness),
@@ -199,13 +179,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sgeo", description="Strong geodetic set toolkit"
-    )
+    parser = _Parser(prog="sgeo", description="Strong geodetic set toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit an edge list for a graph family")
-    p.add_argument("family", choices=["hypercube", "kbipartite", "crown"])
+    p.add_argument("family", choices=list(_ARITY))
     p.add_argument("params", type=int, nargs="+")
     p.set_defaults(func=cmd_gen)
 
@@ -225,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("construct", help="build a verified witness")
-    p.add_argument("family", choices=["hypercube", "kbipartite", "crown"])
+    p.add_argument("family", choices=list(_ARITY))
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--n0", type=int, default=None)
     p.add_argument("--improved", action="store_true")

@@ -11,9 +11,9 @@ previous level (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
 2013).  Distances, connectivity, the diameter and geodesic checks are
 read off its levels.  Every question about the geodesics themselves
 goes to ``Geodesics``, which keeps one DAG per source: the levels plus
-each vertex's geodesic count.  Counting, enumeration and the intervals
-that the exact solver and the decision search work on all read those
-DAGs.
+each vertex's level index.  The u-v interval is read off the DAGs of u
+and v, and counting, enumeration, the exact solver's closure rows and
+the decision search's segment table all start from it.
 
 ``Graph(n, adj)`` checks rows that come from outside: one row per
 vertex, no bit at or above n, no self-loop, and symmetry.  The family
@@ -312,44 +312,45 @@ class Geodesics:
     """The geodesic DAGs of one graph, one per source, each built on first use.
 
     The DAG from u is u's BFS levels plus, for every vertex w, its level
-    index ``dist[w]`` and ``sigma[w]``, the number of u-w geodesics: 1 at
-    u, and at level k the sum over w's neighbours in level k - 1 (the
-    sigma sweep of Brandes, J. Math. Sociol. 2001); sigma is 0 outside
-    u's component.
+    index ``dist[w]``, which is 0 outside u's component.  Its arcs are the
+    edges between consecutive levels, read off the adjacency rows.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.dags: list = [None] * g.n
 
-    def dag(self, u: int) -> tuple[list[int], list[int], list[int]]:
-        """(levels, dist, sigma) from u."""
+    def dag(self, u: int) -> tuple[list[int], list[int]]:
+        """(levels, dist) from u."""
         dag = self.dags[u]
         if dag is None:
-            adj = self.g.adj
             levels = bfs_levels(self.g, u)
             dist = [0] * self.g.n
-            sigma = [0] * self.g.n
-            sigma[u] = 1
             for k in range(1, len(levels)):
-                prev = levels[k - 1]
                 for w in iter_bits(levels[k]):
                     dist[w] = k
-                    sigma[w] = sum(sigma[x] for x in iter_bits(adj[w] & prev))
-            dag = self.dags[u] = (levels, dist, sigma)
+            dag = self.dags[u] = (levels, dist)
         return dag
 
     def count(self, u: int, v: int, cap: Optional[int] = None) -> int:
         """Number of u-v geodesics, u != v; raises Unreachable when none,
-        and GeodesicExplosion when there are more than ``cap``."""
+        and GeodesicExplosion when there are more than ``cap``.  The sigma
+        sweep (Brandes, J. Math. Sociol. 2001) runs over the u-v interval,
+        which holds every u-w geodesic of each of its vertices w."""
         if u == v:
             raise ValueError("endpoints must differ")
         for x in (v, u):
             if not 0 <= x < self.g.n:
                 raise IndexOutOfRange(f"vertex {x} out of range")
-        total = self.dag(u)[2][v]
-        if not total:
+        if not self.dag(u)[1][v]:
             raise Unreachable(f"no path between {u} and {v}")
+        adj = self.g.adj
+        levels = self.interval(u, v)
+        sigma = {u: 1}
+        for prev, level in zip(levels, levels[1:]):
+            for w in iter_bits(level):
+                sigma[w] = sum(sigma[x] for x in iter_bits(adj[w] & prev))
+        total = sigma[v]
         if cap is not None and total > cap:
             raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
         return total
@@ -358,13 +359,13 @@ class Geodesics:
         """The u-v interval by level: level k holds the vertices at
         distance k from u on some shortest u-v path, which is level k
         from u met with level d(u, v) - k from v."""
-        levels, dist, _ = self.dag(u)
+        levels, dist = self.dag(u)
         back = self.dag(v)[0]
         d = dist[v]
         return [levels[k] & back[d - k] for k in range(d + 1)]
 
 def count_geodesics(g: Graph, u: int, v: int) -> int:
-    """Number of distinct shortest u-v paths, read off u's geodesic DAG."""
+    """Number of distinct shortest u-v paths, summed over their interval."""
     return Geodesics(g).count(u, v)
 
 

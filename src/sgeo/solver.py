@@ -12,10 +12,10 @@ A strong geodetic set is first of all a geodetic set: the union I[S] of
 its vertices' pairwise intervals must be every vertex.  The enumeration
 grows I[S] as it adds vertices, and runs the decision search only on
 sets with I[S] = V.  This skips no success: the search covers at most
-I[S], and fails at once otherwise.  The diameter and the intervals
-come from one geodesic DAG per vertex, built once per call; the closure
-rows are read straight off its levels, and only the search fills the
-segment table.
+I[S], and fails at once otherwise.  One ``verify._PairCache`` per call
+holds the graph's geodesic DAGs, which give the distances and the
+diameter; each closure row is the union of a ``Geodesics.interval``,
+and the search shares the object and alone fills its segment table.
 
 A simplicial vertex (its neighbours pairwise adjacent) is on no
 geodesic's interior, so it is in every geodetic set (Chartrand, Harary
@@ -109,25 +109,24 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     if g.n == 1:
         return SgResult(1, "exact", witness=Witness((0,), ()))
     cache = _PairCache(g)
-    dags = [cache.geo.dag(u) for u in range(g.n)]
-    d = max(len(levels) for levels, _, _ in dags) - 1
+    dist = [cache.dag(u)[1] for u in range(g.n)]
+    d = max(map(max, dist))
     full = (1 << g.n) - 1
-    # rows[w][u] is the interval I(u, w), the levels k from u and d(u, w) - k
-    # from w met.
+    # rows[w][u] is the union of the interval I(u, w).
     rows = [[0] * g.n for _ in range(g.n)]
-    for u, (levels, dist, _) in enumerate(dags):
+    for u in range(g.n):
         for w in range(u + 1, g.n):
-            back, k = dags[w][0], dist[w]
-            rows[u][w] = rows[w][u] = sum(levels[i] & back[k - i] for i in range(k + 1))
+            rows[u][w] = rows[w][u] = sum(cache.interval(u, w))
 
-    forced = sorted(forced_vertices(g))
-    free = [v for v in range(g.n) if v not in set(forced)]
+    forced_set = forced_vertices(g)
+    forced = sorted(forced_set)
+    free = [v for v in range(g.n) if v not in forced_set]
     # In a complete graph geodesics are single edges and cover nothing
     # new, so only V itself passes the closure filter.
     start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), 2)
     # gaps[w][p] = d(w, free[p]) - 1, the most a fixed w-free[p] geodesic
     # adds to the budget.
-    gaps = [[dist[x] - 1 for x in free] for _, dist, _ in dags]
+    gaps = [[du[x] - 1 for x in free] for du in dist]
     zeros = [0] * len(free)
     need = twin_predecessors(g)
 
@@ -177,7 +176,7 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     budget = len(forced)
     for u, v in combinations(forced, 2):
         closure |= rows[u][v]
-        budget += dags[u][1][v] - 1
+        budget += dist[u][v] - 1
     span = [sum(gaps[u][p] for u in forced) for p in range(len(free))]
     for t in range(start, g.n + 1):
         found = walk(0, t - len(forced), forced, taken, closure, budget, span, zeros)

@@ -11,8 +11,9 @@ name its defect.
 One search, ``_search``, both decides a set and builds its witness.  It
 never lists a pair's geodesics: each pair keeps a chain of vertices its
 path must pass and can still cover every vertex of the intervals
-between consecutive chain vertices, read off the graph's geodesic DAGs
-through a per-graph segment table.  The search branches on uncovered
+between consecutive chain vertices, read off a ``_PairCache``: the
+graph's ``Geodesics``, which the exact solver shares, plus a segment
+table.  The search branches on uncovered
 vertices, each option a pair that inserts the vertex into its chain, and
 the witness path of each pair is the lexicographically first geodesic
 through its final chain.
@@ -148,22 +149,22 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
     return CoverageReport(covered=ok, uncovered_vertices=uncovered, invalid_paths=invalid)
 
 
-class _PairCache:
-    """Per-graph segment table, filled on first use: for the ordered pair
-    (a, b), the a-b interval by level from a (read off the geodesic DAGs
-    in ``geo``), its union, and its forced part, the union of the levels
-    that hold one vertex, which every a-b geodesic passes."""
+class _PairCache(Geodesics):
+    """A graph's geodesic DAGs plus its segment table, filled on first
+    use: for the ordered pair (a, b), the a-b interval by level from a,
+    its union, and its forced part, the union of the levels that hold
+    one vertex, which every a-b geodesic passes."""
 
     def __init__(self, g: Graph):
-        self.geo = Geodesics(g)
-        self.data: dict[tuple[int, int], tuple[list[int], int, int]] = {}
+        super().__init__(g)
+        self.segments: dict[tuple[int, int], tuple[list[int], int, int]] = {}
 
     def get(self, a: int, b: int) -> tuple[list[int], int, int]:
-        entry = self.data.get((a, b))
+        entry = self.segments.get((a, b))
         if entry is None:
-            levels = self.geo.interval(a, b)
+            levels = self.interval(a, b)
             forced = sum(level for level in levels if not level & (level - 1))
-            entry = self.data[a, b] = (levels, sum(levels), forced)
+            entry = self.segments[a, b] = (levels, sum(levels), forced)
         return entry
 
 

@@ -436,6 +436,29 @@ class TestUsage:
         doc = json.loads(err)
         assert doc["status"] == "error" and doc["payload"]["message"]
 
+    @pytest.mark.parametrize(
+        "command, family, params",
+        [
+            ("gen", "hypercube", ["3", "3"]),
+            ("gen", "kbipartite", ["3"]),
+            ("gen", "crown", ["4", "4"]),
+            ("formula", "kbipartite", ["3", "4", "5"]),
+            ("formula", "crown", ["4", "4"]),
+            ("construct", "hypercube", ["6", "3"]),
+            ("construct", "kbipartite", ["4"]),
+            ("construct", "crown", ["4", "5"]),
+        ],
+    )
+    def test_wrong_parameter_count(self, capsys, command, family, params):
+        code, out, err = run(capsys, command, family, *params)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        want = 2 if family == "kbipartite" else 1
+        assert json.loads(err)["payload"] == {
+            "code": "Error",
+            "message": f"{command} {family} takes {want} parameter(s), got {len(params)}",
+        }
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "bogus")
         assert code == 2

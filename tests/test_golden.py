@@ -6,8 +6,10 @@ that means to alter the output updates them and says why.
 """
 
 import hashlib
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +115,6 @@ EXACT = {
 }
 
 
-
 def gnp(n, p, seed):
     """The G(n, p) graph drawn from random.Random(seed), pairs in
     lexicographic order."""
@@ -137,6 +138,22 @@ EXACT_RANDOM = {
         "552fede0ed27a526e878740523af7f5cd21adf5f087c3110ab508f74b5aabf2d",
     ),
 }
+
+
+def benchmark_graphs():
+    """The 149 graphs the benchmark's exact workloads solve: K(n,m) for
+    1 <= n <= m, n + m <= 14, crown(3..8) and Q1..Q4, then the 90 graphs
+    of ``clibench/random_pool.json`` in file order."""
+    graphs = [complete_bipartite(n, m) for n in range(1, 8) for m in range(n, 15 - n)]
+    graphs += [crown(n) for n in range(3, 9)] + [hypercube(d) for d in range(1, 5)]
+    pool = Path(__file__).resolve().parents[1] / "clibench" / "random_pool.json"
+    for g in json.loads(pool.read_text())["graphs"]:
+        graphs.append(graph_from_edges(g["n"], [tuple(e) for e in g["edges"]]))
+    return graphs
+
+
+# The sha256 of the concatenated ``exact`` stdout over benchmark_graphs().
+EXACT_BENCHMARK = "65c1ee95885344891172622cb4baaefe7d7d4e5b42043eadd487846967a14551"
 
 # Closed forms, bounds and the table, whose ``trace`` and bound fields
 # must keep their layout.
@@ -185,6 +202,18 @@ def test_exact_random(capsys, tmp_path, name):
     graph_file.write_text(to_edge_list(g))
     _, got = stdout_digest(capsys, "exact", str(graph_file))
     assert got == digest
+
+
+def test_exact_benchmark_graphs(capsys, tmp_path):
+    graphs = benchmark_graphs()
+    assert len(graphs) == 149
+    digest = hashlib.sha256()
+    graph_file = tmp_path / "g.txt"
+    for g in graphs:
+        graph_file.write_text(to_edge_list(g))
+        out, _ = stdout_digest(capsys, "exact", str(graph_file))
+        digest.update(out.encode())
+    assert digest.hexdigest() == EXACT_BENCHMARK
 
 
 @pytest.mark.parametrize("command", PLAIN)

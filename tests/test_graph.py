@@ -341,6 +341,8 @@ class TestGeodesics:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(Unreachable):
             enumerate_geodesics(g, 0, 3)
+        with pytest.raises(Unreachable, match="no path between 0 and 3"):
+            count_geodesics(g, 0, 3)
         assert distances_from(g, 0)[3] is None
 
     def test_lexicographic_and_valid(self):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from sgeo import (
     witness_from_dict,
     witness_to_dict,
 )
+from sgeo.verify import _PairCache
 
 Q3 = hypercube(3)
 
@@ -211,3 +214,35 @@ class TestDecision:
         w = is_strong_geodetic_set(g, [0, 3, 4])
         assert w is not None and verify_witness(g, w).covered
         assert is_strong_geodetic_set(g, [0, 4, 5]) is None
+
+
+def pool_graph(graph_id):
+    """A graph of the benchmark's stored random pool, by id."""
+    pool = Path(__file__).resolve().parents[1] / "clibench" / "random_pool.json"
+    (g,) = [g for g in json.loads(pool.read_text())["graphs"] if g["id"] == graph_id]
+    return graph_from_edges(g["n"], [tuple(e) for e in g["edges"]])
+
+
+SEGMENT_GRAPHS = {
+    "Q3": lambda: Q3,
+    "crown(4)": lambda: crown(4),
+    "K(3,4)": lambda: complete_bipartite(3, 4),
+    "pool p0.2-n14-0": lambda: pool_graph("p0.2-n14-0"),
+    "pool p0.5-n18-5": lambda: pool_graph("p0.5-n18-5"),
+}
+
+
+@pytest.mark.parametrize("name", SEGMENT_GRAPHS)
+def test_segment_table_matches_enumeration(name):
+    # Each entry is (interval by level, its union, its forced part): level
+    # k holds the k-th vertices of the a-b geodesics, the union their
+    # vertices, and the forced part the vertices every one of them passes.
+    g = SEGMENT_GRAPHS[name]()
+    cache = _PairCache(g)
+    for a, b in itertools.permutations(range(g.n), 2):
+        paths = enumerate_geodesics(g, a, b)
+        masks = [sum(1 << x for x in p) for p in paths]
+        levels, union, forced = cache.get(a, b)
+        assert levels == [sum({1 << p[k] for p in paths}) for k in range(len(paths[0]))]
+        assert union == reduce(int.__or__, masks)
+        assert forced == reduce(int.__and__, masks)
