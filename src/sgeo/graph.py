@@ -265,20 +265,25 @@ def to_edge_list(g: Graph) -> str:
     return "".join(_edge_lines(g))
 
 
-def bfs_levels(g: Graph, u: int, stop: int = 0) -> list[int]:
+def bfs_levels(g: Graph, u: int, stop: int = 0, depth: Optional[int] = None) -> list[int]:
     """Level sets of a BFS from u: ``levels[k]`` is the bitset of the
     vertices at distance k, and the union of all levels is u's component.
 
     Each level is the OR of the adjacency rows of the previous level,
     less every vertex already seen.  The search ends after the first
-    level that meets the bitset ``stop``, or when no new vertex is found.
+    level that meets the bitset ``stop``, after level ``depth`` when a
+    depth is given, or when no new vertex is found; so a bounded search
+    returns at most ``depth + 1`` levels, fewer when u's component ends
+    sooner.
     """
     if not 0 <= u < g.n:
         raise IndexOutOfRange(f"vertex {u} out of range")
     adj = g.adj
     frontier = seen = 1 << u
     levels = [frontier]
-    while not frontier & stop:
+    # No BFS has more than n levels, so n bounds an unbounded search.
+    last = g.n if depth is None else depth
+    while len(levels) <= last and not frontier & stop:
         reach = 0
         while frontier:
             # Clearing the top bit shrinks the int, which is cheaper than
@@ -401,7 +406,8 @@ def path_defect(
     """Why the nonempty ``path`` is not a shortest path of g, or None.
 
     ``levels`` are the BFS levels from ``path[0]`` when the caller keeps
-    them.  Whether the path is a shortest path is ``Graph.geodesic_mask``
+    them; ``verify_witness`` does not, so it pays one BFS per rejected
+    path.  Whether the path is a shortest path is ``Graph.geodesic_mask``
     alone; the checks before it only name the first defect, in the order
     repeat, vertex range, adjacency, length.
     """

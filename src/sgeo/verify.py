@@ -2,11 +2,14 @@
 
 A witness fixes exactly one geodesic per unordered pair of the selected
 set; the set is strong geodetic when the fixed paths cover every vertex.
-``verify_witness`` keeps the BFS level sets of each path start and checks
-each path in one pass: it is a shortest path exactly when its k-th
-vertex lies in level k and every step is an edge, and the pass collects
-its cover mask on the way.  Only a rejected path is examined again, to
-name its defect.
+``verify_witness`` checks each path in one pass: every step must be an
+edge, and a walk of L steps is then a shortest path exactly when its
+ends are L apart, that is when the ball of radius L // 2 about its start
+and the ball of radius (L - 1) // 2 about its end are disjoint (the two
+halves of a bidirectional search, Pohl, Machine Intelligence 6, 1971).
+Each selected vertex gets one BFS, cut at the largest radius its paths
+need, and the pass collects each path's cover mask on the way.  Only a
+rejected path is examined again, to name its defect.
 
 One search, ``_search``, both decides a set and builds its witness.  It
 never lists a pair's geodesics: each pair keeps a chain of vertices its
@@ -111,37 +114,69 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
         if not 0 <= v < g.n:
             raise MalformedWitness(f"vertex {v} not in graph")
 
-    expected = {(u, v) for u, v in combinations(sel, 2)}
-    seen: set[tuple[int, int]] = set()
-    for u, v, _ in w.assignment:
-        key = (min(u, v), max(u, v))
-        if key not in expected:
-            raise MalformedWitness(f"assignment pair {key} not a pair of the set")
+    # One pass over the assignment checks its pairs and records, for each
+    # path whose ends match its pair, the ball radius each end needs.
+    n = g.n
+    selected = set(sel)
+    seen: set[int] = set()
+    radius = [-1] * n
+    for u, v, path in w.assignment:
+        if u > v:
+            u, v = v, u
+        if u == v or u not in selected or v not in selected:
+            raise MalformedWitness(f"assignment pair {(u, v)} not a pair of the set")
+        key = u * n + v
         if key in seen:
-            raise MalformedWitness(f"duplicate assignment for pair {key}")
+            raise MalformedWitness(f"duplicate assignment for pair {(u, v)}")
         seen.add(key)
-    missing = expected - seen
-    if missing:
-        raise MalformedWitness(f"missing assignment for pairs {sorted(missing)}")
+        if path and (path[0] == u and path[-1] == v or path[0] == v and path[-1] == u):
+            steps = len(path) - 1
+            if radius[path[0]] < steps >> 1:
+                radius[path[0]] = steps >> 1
+            if radius[path[-1]] < (steps - 1) >> 1:
+                radius[path[-1]] = (steps - 1) >> 1
+    if len(seen) < len(sel) * (len(sel) - 1) // 2:
+        missing = [(u, v) for u, v in combinations(sel, 2) if u * n + v not in seen]
+        raise MalformedWitness(f"missing assignment for pairs {missing}")
 
-    levels_from: dict[int, list[int]] = {}
+    # balls[x][r] is the set of vertices within distance r of x, for every
+    # radius up to the largest x needs; past x's component it stays whole.
+    balls: list[Optional[list[int]]] = [None] * n
+    for x in sel:
+        if radius[x] >= 0:
+            ball = 0
+            grown = balls[x] = []
+            for level in bfs_levels(g, x, depth=radius[x]):
+                ball |= level
+                grown.append(ball)
+            grown += [ball] * (radius[x] + 1 - len(grown))
+
+    adj = g.adj
     covered = 0
     for v in sel:
         covered |= 1 << v
     invalid: list[tuple[tuple[int, int], str]] = []
     for u, v, path in w.assignment:
-        if len(path) < 2 or {path[0], path[-1]} != {u, v}:
-            reason = "endpoints do not match pair"
+        if path and (path[0] == u and path[-1] == v or path[0] == v and path[-1] == u):
+            mask = 0
+            row = -1  # the first vertex needs no edge into it
+            for x in path:
+                # x < 0 first: a vertex outside the graph is rejected by
+                # right shifts alone, so even a huge one allocates nothing.
+                if x < 0 or not row >> x & 1:
+                    break
+                mask |= 1 << x
+                row = adj[x]
+            else:
+                # Every step is an edge: the walk is a shortest path
+                # exactly when its two half-radius balls are disjoint.
+                steps = len(path) - 1
+                if not balls[path[0]][steps >> 1] & balls[path[-1]][(steps - 1) >> 1]:
+                    covered |= mask
+                    continue
+            reason = path_defect(g, path)
         else:
-            # path[0] is a selected vertex, so it is in the graph.
-            levels = levels_from.get(path[0])
-            if levels is None:
-                levels = levels_from[path[0]] = bfs_levels(g, path[0])
-            mask = g.geodesic_mask(path, levels)
-            if mask:
-                covered |= mask
-                continue
-            reason = path_defect(g, path, levels)
+            reason = "endpoints do not match pair"
         invalid.append(((min(u, v), max(u, v)), reason))
 
     uncovered = [v for v in range(g.n) if not covered >> v & 1]

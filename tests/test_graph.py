@@ -218,37 +218,47 @@ def brute_defect(n, nbrs, dist, path):
     return None
 
 
+def brute_tables(n, edges):
+    """Neighbour sets and, per source, a dict of BFS distances over its
+    component, from a plain queue BFS: the inputs of ``brute_defect``."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    dist = []
+    for s in range(n):
+        d = {s: 0}
+        queue = deque([s])
+        while queue:
+            w = queue.popleft()
+            for x in nbrs[w]:
+                if x not in d:
+                    d[x] = d[w] + 1
+                    queue.append(x)
+        dist.append(d)
+    return nbrs, dist
+
+
 def _q3_edges():
     return [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b]
 
 
+# Small graphs whose every short vertex sequence is checked against the
+# oracle; the last has two components.
+SHORT_SEQUENCE_GRAPHS = {
+    "Q3": (8, _q3_edges()),
+    "C5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "P3+C3": (6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]),
+}
+
+
 class TestPathDefect:
-    @pytest.mark.parametrize(
-        "n, edges",
-        [
-            (8, _q3_edges()),
-            (5, [(i, (i + 1) % 5) for i in range(5)]),
-            (4, [(0, 1), (1, 2), (2, 3)]),
-        ],
-        ids=["Q3", "C5", "P4"],
-    )
-    def test_matches_brute_force_on_every_short_sequence(self, n, edges):
+    @pytest.mark.parametrize("name", ["Q3", "C5", "P4"])
+    def test_matches_brute_force_on_every_short_sequence(self, name):
+        n, edges = SHORT_SEQUENCE_GRAPHS[name]
         g = graph_from_edges(n, edges)
-        nbrs = [set() for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        dist = []
-        for s in range(n):
-            d = {s: 0}
-            queue = deque([s])
-            while queue:
-                w = queue.popleft()
-                for x in nbrs[w]:
-                    if x not in d:
-                        d[x] = d[w] + 1
-                        queue.append(x)
-            dist.append(d)
+        nbrs, dist = brute_tables(n, edges)
         levels = [bfs_levels(g, s) for s in range(n)]
         alphabet = [-1, *range(n + 1), 10**12]
         for length in range(2, 6):
@@ -389,6 +399,14 @@ class TestBfsLevels:
         g = hypercube(4)
         assert bfs_levels(g, 0, 1 << 0b0011) == bfs_levels(g, 0)[:3]
         assert bfs_levels(g, 5, 1 << 5) == [1 << 5]
+
+    def test_depth_ends_at_that_level(self):
+        g = hypercube(4)
+        for depth in range(6):
+            assert bfs_levels(g, 0, depth=depth) == bfs_levels(g, 0)[: depth + 1]
+        assert bfs_levels(g, 0, 1 << 0b0001, depth=3) == bfs_levels(g, 0)[:2]
+        path = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        assert bfs_levels(path, 0, depth=7) == [0b1, 0b10, 0b100]
 
     def test_component_only(self):
         g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])

@@ -22,7 +22,9 @@ from sgeo import (
     witness_from_dict,
     witness_to_dict,
 )
-from sgeo.verify import _PairCache
+from sgeo import construct, verify
+from sgeo.verify import PairGeodesic, _PairCache
+from test_graph import SHORT_SEQUENCE_GRAPHS, brute_defect, brute_tables
 
 Q3 = hypercube(3)
 
@@ -131,6 +133,118 @@ class TestVerifyWitness:
         for bad in (doc, {**doc, "set": [1, "2"]}, {"set": [True, 2], "assignment": []}):
             with pytest.raises(MalformedWitness, match="not an integer"):
                 witness_from_dict(bad)
+
+
+def oracle_report(n, nbrs, dist, sel, assignment):
+    """(covered, uncovered_vertices, invalid_paths) of a witness whose
+    pairs are well formed, from ``brute_defect`` alone."""
+    cover = set(sel)
+    invalid = []
+    for u, v, path in assignment:
+        if len(path) < 2 or {path[0], path[-1]} != {u, v}:
+            reason = "endpoints do not match pair"
+        else:
+            reason = brute_defect(n, nbrs, dist, path)
+        if reason is None:
+            cover.update(path)
+        else:
+            invalid.append(((min(u, v), max(u, v)), reason))
+    uncovered = [x for x in range(n) if x not in cover]
+    return not invalid and not uncovered, uncovered, invalid
+
+
+class TestHalfRadiusCheck:
+    """verify_witness decides each path by whether two half-radius balls
+    about its ends meet; the oracle reads distances off a queue BFS."""
+
+    @pytest.mark.parametrize("name", SHORT_SEQUENCE_GRAPHS)
+    def test_every_short_sequence_as_a_two_vertex_witness(self, name):
+        n, edges = SHORT_SEQUENCE_GRAPHS[name]
+        g = graph_from_edges(n, edges)
+        nbrs, dist = brute_tables(n, edges)
+        alphabet = [-1, *range(n + 1), 10**12]
+        for length in range(2, 6):
+            for start in range(n):
+                for rest in itertools.product(alphabet, repeat=length - 1):
+                    path = (start, *rest)
+                    end = path[-1]
+                    if end not in range(n) or end == start:
+                        continue
+                    # The pair is named in path order, so both orders of
+                    # u and v occur.
+                    w = Witness(tuple(sorted((start, end))), (PairGeodesic(start, end, path),))
+                    report = verify_witness(g, w)
+                    want = oracle_report(n, nbrs, dist, w.vertices, w.assignment)
+                    got = (report.covered, report.uncovered_vertices, report.invalid_paths)
+                    assert got == want, path
+
+    def test_both_orientations_in_one_witness(self):
+        # Vertex 7 starts the long (0, 7) path and ends the short (5, 7)
+        # one, and 6 ends two paths and starts a rejected one, so each
+        # end needs its own ball radius.
+        paths = {
+            (0, 7): [7, 3, 2, 0],
+            (0, 5): [5, 1, 0],
+            (0, 6): [0, 4, 6],
+            (5, 6): [6, 7, 3, 1, 5],
+            (5, 7): [5, 7],
+            (6, 7): [7, 6],
+        }
+        w = make_witness(FIG_SET, paths)
+        report = verify_witness(Q3, w)
+        nbrs, dist = brute_tables(8, SHORT_SEQUENCE_GRAPHS["Q3"][1])
+        want = oracle_report(8, nbrs, dist, w.vertices, w.assignment)
+        assert (report.covered, report.uncovered_vertices, report.invalid_paths) == want
+        assert report.invalid_paths == [((5, 6), "not a shortest path")]
+
+    @pytest.mark.parametrize("name", SHORT_SEQUENCE_GRAPHS)
+    def test_random_multi_path_witnesses(self, name):
+        # Each pair gets a random walk of d(u, v) or d(u, v) + 1 steps in a
+        # random orientation, a geodesic half of the time.
+        n, edges = SHORT_SEQUENCE_GRAPHS[name]
+        g = graph_from_edges(n, edges)
+        nbrs, dist = brute_tables(n, edges)
+        rng = random.Random(name)
+        for _ in range(200):
+            comp = sorted(dist[rng.randrange(n)])
+            if len(comp) < 2:
+                continue
+            sel = rng.sample(comp, rng.randint(2, len(comp)))
+            assignment = []
+            for u, v in itertools.combinations(sel, 2):
+                if rng.random() < 0.5:
+                    u, v = v, u
+                if rng.random() < 0.5:
+                    path = rng.choice(enumerate_geodesics(g, u, v))
+                else:
+                    path = [u]
+                    for _ in range(dist[u][v] + rng.randint(0, 1) - 1):
+                        path.append(rng.choice(sorted(nbrs[path[-1]])))
+                    path.append(v)
+                assignment.append(PairGeodesic(u, v, tuple(path)))
+            w = Witness(tuple(sel), tuple(assignment))
+            report = verify_witness(g, w)
+            want = oracle_report(n, nbrs, dist, sel, assignment)
+            assert (report.covered, report.uncovered_vertices, report.invalid_paths) == want
+
+
+def test_verify_witness_bounds_its_searches(monkeypatch):
+    # Each selected vertex gets at most one BFS, cut at half the longest
+    # path it ends: 11 // 2 levels on Q11, whose paths have at most 11 steps.
+    built = construct.build_hypercube_basic(11, 6)
+    searches = []
+    real = verify.bfs_levels
+
+    def counted(h, u, stop=0, depth=None):
+        searches.append((u, depth))
+        return real(h, u, stop, depth)
+
+    monkeypatch.setattr(verify, "bfs_levels", counted)
+    assert verify_witness(hypercube(11), built.witness).covered
+    sources = [u for u, _ in searches]
+    assert len(sources) == len(set(sources))
+    assert set(sources) <= set(built.witness.vertices)
+    assert all(depth is not None and depth <= 11 // 2 for _, depth in searches)
 
 
 class TestDecision:
