@@ -8,12 +8,14 @@ from the construction templates map directly onto integers.
 All distance questions go through one primitive, ``bfs_levels``: a BFS
 whose levels are bitsets, each found by OR-ing the adjacency rows of the
 previous level (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
-2013).  Distances, connectivity, the diameter and geodesic checks are
-read off its levels.  Every question about the geodesics themselves
-goes to ``Geodesics``, which keeps one DAG per source: the levels plus
-each vertex's level index.  The u-v interval is read off the DAGs of u
-and v, and counting, enumeration, the exact solver's closure rows and
-the decision search's segment table all start from it.
+2013), cut at an optional ``depth``.  Distances, connectivity and the
+diameter are read off its levels, and so is ``path_defect``'s length
+check, from one search cut one level short of the path's length.  Every
+question about the geodesics themselves goes to ``Geodesics``, which
+keeps one DAG per source: the levels plus each vertex's level index.
+The u-v interval is read off the DAGs of u and v, and counting,
+enumeration, the exact solver's closure rows and the decision search's
+segment table all start from it.
 
 ``Graph(n, adj)`` checks rows that come from outside: one row per
 vertex, no bit at or above n, no self-loop, and symmetry.  The family
@@ -112,28 +114,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def geodesic_mask(self, path: Sequence[int], levels: list[int]) -> int:
-        """The vertex set of ``path`` if it is a shortest path from the
-        source of the BFS ``levels``, else 0.
-
-        That holds iff the k-th vertex lies in level k and every step is
-        an edge: levels are disjoint, so no vertex repeats.  Membership
-        is read by right shifts, so a vertex outside the graph (even a
-        huge one) allocates nothing; ``1 << x`` is built only once x is
-        known to be in a level.
-        """
-        if len(path) > len(levels):
-            return 0
-        adj = self.adj
-        mask = 0
-        row = -1  # the first vertex needs no edge into it
-        for level, x in zip(levels, path):
-            if x < 0 or not level >> x & 1 or not row >> x & 1:
-                return 0
-            mask |= 1 << x
-            row = adj[x]
-        return mask
 
 
 def _check_order(n: int, what: str) -> None:
@@ -265,16 +245,15 @@ def to_edge_list(g: Graph) -> str:
     return "".join(_edge_lines(g))
 
 
-def bfs_levels(g: Graph, u: int, stop: int = 0, depth: Optional[int] = None) -> list[int]:
+def bfs_levels(g: Graph, u: int, depth: Optional[int] = None) -> list[int]:
     """Level sets of a BFS from u: ``levels[k]`` is the bitset of the
     vertices at distance k, and the union of all levels is u's component.
 
     Each level is the OR of the adjacency rows of the previous level,
-    less every vertex already seen.  The search ends after the first
-    level that meets the bitset ``stop``, after level ``depth`` when a
-    depth is given, or when no new vertex is found; so a bounded search
-    returns at most ``depth + 1`` levels, fewer when u's component ends
-    sooner.
+    less every vertex already seen.  The search ends after level
+    ``depth`` when a depth is given, or when no new vertex is found; so
+    a bounded search returns at most ``depth + 1`` levels, fewer when
+    u's component ends sooner.
     """
     if not 0 <= u < g.n:
         raise IndexOutOfRange(f"vertex {u} out of range")
@@ -283,7 +262,7 @@ def bfs_levels(g: Graph, u: int, stop: int = 0, depth: Optional[int] = None) -> 
     levels = [frontier]
     # No BFS has more than n levels, so n bounds an unbounded search.
     last = g.n if depth is None else depth
-    while len(levels) <= last and not frontier & stop:
+    while len(levels) <= last:
         reach = 0
         while frontier:
             # Clearing the top bit shrinks the int, which is cheaper than
@@ -337,11 +316,10 @@ class Geodesics:
             dag = self.dags[u] = (levels, dist)
         return dag
 
-    def count(self, u: int, v: int, cap: Optional[int] = None) -> int:
-        """Number of u-v geodesics, u != v; raises Unreachable when none,
-        and GeodesicExplosion when there are more than ``cap``.  The sigma
-        sweep (Brandes, J. Math. Sociol. 2001) runs over the u-v interval,
-        which holds every u-w geodesic of each of its vertices w."""
+    def count(self, u: int, v: int) -> int:
+        """Number of u-v geodesics, u != v; raises Unreachable when none.
+        The sigma sweep (Brandes, J. Math. Sociol. 2001) runs over the u-v
+        interval, which holds every u-w geodesic of each of its vertices w."""
         if u == v:
             raise ValueError("endpoints must differ")
         for x in (v, u):
@@ -355,10 +333,7 @@ class Geodesics:
         for prev, level in zip(levels, levels[1:]):
             for w in iter_bits(level):
                 sigma[w] = sum(sigma[x] for x in iter_bits(adj[w] & prev))
-        total = sigma[v]
-        if cap is not None and total > cap:
-            raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
-        return total
+        return sigma[v]
 
     def interval(self, u: int, v: int) -> list[int]:
         """The u-v interval by level: level k holds the vertices at
@@ -381,7 +356,9 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = DEFAULT_GEODESIC_CA
     GeodesicExplosion is raised without enumerating anything.
     """
     geo = Geodesics(g)
-    geo.count(u, v, cap)
+    total = geo.count(u, v)
+    if total > cap:
+        raise GeodesicExplosion(f"{total} geodesics between {u} and {v} exceed cap {cap}")
     adj = g.adj
     # Extending the partial paths in order, each by its next vertices in
     # ascending order, keeps them in lexicographic order.
@@ -400,16 +377,14 @@ def diameter(g: Graph) -> int:
     return max(len(bfs_levels(g, u)) - 1 for u in range(g.n))
 
 
-def path_defect(
-    g: Graph, path: Sequence[int], levels: Optional[list[int]] = None
-) -> Optional[str]:
+def path_defect(g: Graph, path: Sequence[int]) -> Optional[str]:
     """Why the nonempty ``path`` is not a shortest path of g, or None.
 
-    ``levels`` are the BFS levels from ``path[0]`` when the caller keeps
-    them; ``verify_witness`` does not, so it pays one BFS per rejected
-    path.  Whether the path is a shortest path is ``Graph.geodesic_mask``
-    alone; the checks before it only name the first defect, in the order
-    repeat, vertex range, adjacency, length.
+    The checks name the first defect, in the order repeat, vertex range,
+    adjacency, length.  Once they pass, a walk of L >= 1 edges is a
+    shortest path exactly when its end is not within L - 1 of its start,
+    so one BFS from the start, cut at depth L - 1, decides the length.
+    A single vertex is a shortest path of length 0.
     """
     if len(set(path)) != len(path):
         return "repeated vertex"
@@ -418,9 +393,8 @@ def path_defect(
     adj = g.adj
     if any(not adj[a] >> b & 1 for a, b in zip(path, path[1:])):
         return "non-adjacent step"
-    if levels is None:
-        levels = bfs_levels(g, path[0], 1 << path[-1])
-    if not g.geodesic_mask(path, levels):
+    # Levels are disjoint, so their sum is the ball of radius L - 1.
+    if len(path) > 1 and sum(bfs_levels(g, path[0], depth=len(path) - 2)) >> path[-1] & 1:
         return "not a shortest path"
     return None
 

@@ -40,7 +40,7 @@ class CrownSplit(NamedTuple("CrownSplit", [("p", int), ("q", int)])):
 
 class SgResult(NamedTuple):
     value: int
-    method: str  # exact | closed_form | lower_bound | upper_bound | construction
+    method: str  # exact | closed_form
     witness: Optional[Witness] = None
     trace: Optional[FormulaTrace] = None
     split: Optional[CrownSplit] = None

@@ -164,9 +164,9 @@ class TestExactProperties:
         sources = []
         real = graph.bfs_levels
 
-        def counted(h, u, stop=0):
+        def counted(h, u, depth=None):
             sources.append(u)
-            return real(h, u, stop)
+            return real(h, u, depth)
 
         monkeypatch.setattr(graph, "bfs_levels", counted)
         sg_exact(g)

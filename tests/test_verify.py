@@ -235,9 +235,9 @@ def test_verify_witness_bounds_its_searches(monkeypatch):
     searches = []
     real = verify.bfs_levels
 
-    def counted(h, u, stop=0, depth=None):
+    def counted(h, u, depth=None):
         searches.append((u, depth))
-        return real(h, u, stop, depth)
+        return real(h, u, depth)
 
     monkeypatch.setattr(verify, "bfs_levels", counted)
     assert verify_witness(hypercube(11), built.witness).covered
