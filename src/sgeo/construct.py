@@ -14,10 +14,10 @@ along a family of internally disjoint diagonal paths.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import AssignmentInfeasible, OutOfRange
-from .formulas import f_val, g_val, sg_bipartite_opt, sg_crown
+from .formulas import f_val, g_val, sg_bipartite_closed, sg_bipartite_opt, sg_crown
 from .formulas import hypercube_upper_basic_at, hypercube_upper_improved_at
 from .graph import Graph, Path, complete_bipartite, crown, hypercube, iter_bits
 from .verify import CoverageReport, Witness, make_witness, verify_witness
@@ -30,17 +30,15 @@ MAX_WITNESS_PAIRS = 1 << 18
 
 class HypercubeConstructionPlan(NamedTuple):
     """Ingredients of a hypercube witness: the spread P, the top block Q,
-    the removed set F, and the diagonal path system with its endpoints."""
+    the removed set F, and the diagonal path system.  The paths share
+    their start (in F) and their end (in Q); each path's last interior
+    vertex and all but the first path's second-to-last one stay in Q."""
 
     n: int
     n0: int
     P: list[int]
     Q: list[int]
     F: Sequence[int] = ()
-    u: Optional[int] = None
-    v: Optional[int] = None
-    x_list: Sequence[int] = ()
-    y_list: Sequence[int] = ()
     path_system: Sequence[Path] = ()
 
 
@@ -70,8 +68,7 @@ def _verified(
             f"{len(coverage.uncovered_vertices)} vertices uncovered, "
             f"invalid paths {coverage.invalid_paths[:3]}"
         )
-    # The templates cover without repair; the field keeps the report layout.
-    report = {"target_size": target, "achieved_size": witness.size(), "repairs": 0}
+    report = {"target_size": target, "achieved_size": witness.size()}
     return ConstructionResult(witness, report, coverage, plan)
 
 
@@ -133,10 +130,11 @@ def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
     """Optimal witness for K_{n,m}, 3 <= n <= m: the first k vertices of
     the small side and the first l = max(f(k), g(k)) of the large side at
     the optimizing k."""
+    # The closed form's value is k + l; checked before the O(n) sweep.
+    _check_pairs(sg_bipartite_closed(n, m).value)
     opt = sg_bipartite_opt(n, m)
     k = opt.trace.k_star
     l = max(f_val(n, k), g_val(m, k))
-    _check_pairs(k + l)
     return _two_side(complete_bipartite(n, m), list(range(k)) + list(range(n, n + l)), opt.value)
 
 
@@ -152,11 +150,10 @@ def build_crown_witness(n: int) -> ConstructionResult:
     return _two_side(crown(n), list(range(p)) + list(range(n, n + q)), res.value)
 
 
-def _two_block(
-    n: int, n0: int, target: int, thin: Optional[Callable] = None
-) -> ConstructionResult:
-    """The two-block witness on Q_n: a suffix-zero spread P plus the top
-    sub-block Q, less the suffixes that ``thin(d, top)`` removes.
+def _two_block(n: int, n0: int, improved: bool) -> ConstructionResult:
+    """The two-block witness on Q_n at its formula's target: a suffix-zero
+    spread P plus the top sub-block Q, thinned by ``_thinning`` when
+    improved.  The dimension cap is checked before the target's 2^(n - n0).
 
     A spread-to-block pair (pv, top|c) walks c's flip chain from pv,
     crosses the block boundary after chain index j, finishes the chain
@@ -166,11 +163,12 @@ def _two_block(
     """
     if n > MAX_CONSTRUCTION_DIM:
         raise OutOfRange(f"verification capped at n <= {MAX_CONSTRUCTION_DIM}")
+    target = (hypercube_upper_improved_at if improved else hypercube_upper_basic_at)(n, n0)
     d = n0 - 1
     mid = 1 << d
     top = ((1 << (n - n0)) - 1) << n0 | mid
     P = [b << n0 for b in range(1 << (n - n0))]
-    removed, chains, plan_fields = thin(d, top) if thin else ([], {}, {})
+    removed, chains, seqs = _thinning(d) if improved else ([], {}, [])
     gone = set(removed)
     suffixes = [c for c in range(mid) if c not in gone]
     Q = [top | c for c in suffixes]
@@ -190,7 +188,8 @@ def _two_block(
         for a, b in combinations(block, 2):
             pair_paths[(a, b)] = canonical_path(a, b, n)
 
-    plan = HypercubeConstructionPlan(n, n0, P, Q, [top | f for f in removed], **plan_fields)
+    system = [[top | c for c in seq] for seq in seqs]
+    plan = HypercubeConstructionPlan(n, n0, P, Q, [top | f for f in removed], system)
     return _verified(g, P + Q, pair_paths, target, plan)
 
 
@@ -198,7 +197,7 @@ def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
     """Two-block witness on Q_n: a suffix-zero spread of size 2^(n-n0)
     plus a full top sub-block of size 2^(n0-1), every suffix routed on
     its canonical chain."""
-    return _two_block(n, n0, hypercube_upper_basic_at(n, n0))
+    return _two_block(n, n0, improved=False)
 
 
 def _boundary_chains(d: int, seqs: list[list[int]]) -> dict[int, tuple[list[int], int]]:
@@ -240,25 +239,15 @@ def _diagonal_paths(d: int) -> list[list[int]]:
     return seqs
 
 
-def _thinning(d: int, top: int) -> tuple[list[int], dict, dict]:
-    """Removed suffixes, boundary chains and plan fields of the thinned
-    block: the d diagonal paths go, their common start 0 included,
-    keeping their common end, every path's last interior vertex and all
-    but the first path's second-to-last, (d - 1)(d - 2) suffixes in all."""
+def _thinning(d: int) -> tuple[list[int], dict, list[list[int]]]:
+    """Removed suffixes, boundary chains and diagonal paths of the thinned
+    block: the d diagonal paths go, their common start 0 included, keeping
+    their common end, every path's last interior vertex and all but the
+    first path's second-to-last, (d - 1)(d - 2) suffixes in all."""
     seqs = _diagonal_paths(d)
-    full = (1 << d) - 1
-    xs = [seq[d - 1] for seq in seqs]
-    ys = [seq[d - 2] for seq in seqs]
-    kept = {full} | set(xs) | set(ys[1:])
+    kept = {(1 << d) - 1} | {seq[d - 1] for seq in seqs} | {seq[d - 2] for seq in seqs[1:]}
     removed = sorted({c for seq in seqs for c in seq} - kept)
-    fields = {
-        "u": top | full,
-        "v": top,
-        "x_list": [top | x for x in xs],
-        "y_list": [top | y for y in ys],
-        "path_system": [[top | c for c in seq] for seq in seqs],
-    }
-    return removed, _boundary_chains(d, seqs), fields
+    return removed, _boundary_chains(d, seqs), seqs
 
 
 def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
@@ -272,4 +261,4 @@ def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
     at their endpoint.  The report carries the formula target and the
     achieved size.
     """
-    return _two_block(n, n0, hypercube_upper_improved_at(n, n0), _thinning)
+    return _two_block(n, n0, improved=True)

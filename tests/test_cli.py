@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -216,6 +217,51 @@ class TestConstruct:
         doc = json.loads(err)
         assert doc["payload"]["code"] == "OutOfRange"
         assert "2000 vertices" in doc["payload"]["message"]
+
+    def test_dimension_cap_before_target(self):
+        # Under a 512 MB address-space limit, computing the target
+        # 2^(10^10 - n0) first would end in a MemoryError traceback.
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        for extra in (["--n0", "1"], ["--n0", "5", "--improved"]):
+            argv = ["construct", "hypercube", "10000000000", *extra]
+            proc = subprocess.run(
+                [sys.executable, "-m", "sgeo.cli", *argv],
+                capture_output=True,
+                env=env,
+                preexec_fn=limit,
+                timeout=60,
+            )
+            assert proc.returncode == 2 and proc.stdout == b"", extra
+            doc = json.loads(proc.stderr)
+            assert doc["payload"]["code"] == "OutOfRange"
+            assert "capped" in doc["payload"]["message"]
+
+    def test_document_shape(self, capsys):
+        # report and plan hold only what the builder decides; the diagonal
+        # paths' ends and last interior vertices are read off path_system.
+        def construct_doc(*argv):
+            code, out, _ = run(capsys, "construct", *argv, "--verify")
+            assert code == 0
+            doc = json.loads(out)
+            assert set(doc["report"]) == {"target_size", "achieved_size"}
+            return doc
+
+        assert "plan" not in construct_doc("crown", "6")
+        plan_keys = {"n", "n0", "P", "Q", "F", "path_system"}
+        basic = construct_doc("hypercube", "8", "--n0", "5")["plan"]
+        assert set(basic) == plan_keys and basic["path_system"] == []
+        plan = construct_doc("hypercube", "8", "--n0", "5", "--improved")["plan"]
+        assert set(plan) == plan_keys
+        paths, Q, F = plan["path_system"], set(plan["Q"]), set(plan["F"])
+        assert len({p[0] for p in paths}) == 1 and paths[0][0] in F
+        assert len({p[-1] for p in paths}) == 1 and paths[0][-1] in Q
+        assert all(p[-2] in Q for p in paths)
+        assert all(p[-3] in Q for p in paths[1:])
 
     def test_reader_closing_early(self):
         # The reader takes 10 bytes of a multi-megabyte witness and leaves.

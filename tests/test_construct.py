@@ -65,6 +65,15 @@ class TestBipartiteWitness:
         with pytest.raises(OutOfRange, match="725 vertices"):
             build_bipartite_witness(3, 725)
 
+    def test_pair_budget_checked_before_sweep(self, monkeypatch):
+        # sg(K(10^6, 10^6)) = 2828: rejected before the O(n) sweep over k.
+        def sweep(n, m):
+            raise AssertionError("optimiser ran")
+
+        monkeypatch.setattr(construct, "sg_bipartite_opt", sweep)
+        with pytest.raises(OutOfRange, match="2828 vertices"):
+            build_bipartite_witness(10**6, 10**6)
+
 
 class TestCrownWitness:
     def test_examples(self):
@@ -198,7 +207,6 @@ class TestHypercubeImproved:
         for n, n0 in [(4, 4), (6, 4), (8, 5), (9, 5)]:
             built = build_hypercube_improved(n, n0)
             assert built.report["achieved_size"] == built.report["target_size"]
-            assert built.report["repairs"] == 0
 
     def test_improved_beats_basic(self):
         for n, n0 in [(8, 4), (8, 5), (9, 5), (10, 5), (10, 6)]:
@@ -208,11 +216,11 @@ class TestHypercubeImproved:
     def test_path_system_is_disjoint_geodesics(self):
         built = build_hypercube_improved(8, 5)
         plan = built.plan
-        assert plan.u is not None and plan.v is not None
+        start, end = plan.path_system[0][0], plan.path_system[0][-1]
         interiors = []
         for path in plan.path_system:
-            assert path[0] == plan.v and path[-1] == plan.u
-            assert len(path) - 1 == (plan.u ^ plan.v).bit_count()
+            assert path[0] == start and path[-1] == end
+            assert len(path) - 1 == (end ^ start).bit_count()
             for a, b in zip(path, path[1:]):
                 assert (a ^ b).bit_count() == 1
             interiors.append(set(path[1:-1]))
@@ -233,6 +241,17 @@ class TestHypercubeImproved:
         # The dimension cap is checked before the diagonal system is built.
         with pytest.raises(OutOfRange, match="capped"):
             build_hypercube_improved(2000, 1001)
+
+    def test_dimension_cap_checked_before_target(self, monkeypatch):
+        # The targets hold 2^(n - n0); at n = 10^10 that is a 1.25 GB integer.
+        def target(n, n0):
+            raise AssertionError("target computed")
+
+        monkeypatch.setattr(construct, "hypercube_upper_basic_at", target)
+        monkeypatch.setattr(construct, "hypercube_upper_improved_at", target)
+        for build, n0 in [(build_hypercube_basic, 1), (build_hypercube_improved, 5)]:
+            with pytest.raises(OutOfRange, match="capped"):
+                build(10**10, n0)
 
     def test_naive_routing_raises(self, monkeypatch):
         # With no chain entries every route takes its canonical chain and

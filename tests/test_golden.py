@@ -20,65 +20,65 @@ CONSTRUCT = {
     "hypercube 8 --n0 5": (
         hypercube(8),
         ["hypercube", "8", "--n0", "5"],
-        "afb7311a5a0f3f82e260ee70d1ba63bbbeebb86e3671243e13c8dbcb8395f1e3",
+        "08877e0c3111a2c6c2a6af52561943ef41254f7d151bcd810ce14d33aa9a95db",
     ),
     "hypercube 8 --n0 5 --improved": (
         hypercube(8),
         ["hypercube", "8", "--n0", "5", "--improved"],
-        "e082d868ff2ac12a75069dbad7794d86bd2c5ec0c1fba33569a942ef589cb6b2",
+        "65b5c025540a0309753250325ec38911010d57a8c220048efc9946773edc986d",
     ),
     # The frame's edges: a one-vertex block (n0 = 1) and a one-vertex
     # spread (n0 = n).
     "hypercube 6 --n0 1": (
         hypercube(6),
         ["hypercube", "6", "--n0", "1"],
-        "e2bce4ce8b5e167a17fa15518f82d3880cd2451d0a47340d59bb19597718757f",
+        "9ee8bfe4d8b7b88883aaa1c44210355c0197a22ae87daa3905e30e28c39fcb24",
     ),
     "hypercube 6 --n0 6": (
         hypercube(6),
         ["hypercube", "6", "--n0", "6"],
-        "1a3b7264feb118851e4e1bae3185351b8ee5c5c04d23f64a57e0f04f83bc023e",
+        "65eb6dbc07c3629e8bbe8deed58ea0d11558e5fa73015f1d0a720438bab8a257",
     ),
     # The smallest diagonal system, D = 3.
     "hypercube 7 --n0 4 --improved": (
         hypercube(7),
         ["hypercube", "7", "--n0", "4", "--improved"],
-        "8b0a07b43fe6cdc4b5e8b4a10174cd5d101fbb7e1fd12ac20ade69db3e4c26dc",
+        "78a66e2df0eaf7e11b169f9cdc1871b10fd3afaf5ea50c53cae8b746da71a701",
     ),
     "crown 6": (
         crown(6),
         ["crown", "6"],
-        "3e5bf5067e87306065ef350d18cea26b314ce987417d3d76cdd0794d2b765b2a",
+        "8e6d274eab5bdaf3808ff788f08b8edb5c1a8fbe3df23d96926832cef8e004b3",
     ),
     "kbipartite 4 10": (
         complete_bipartite(4, 10),
         ["kbipartite", "4", "10"],
-        "1ba5f67e868021776e6af94cd96f83845aaf57b36d75040fb4e6f79f69b37ad3",
+        "723689e3bbcbb9e8a252b7285c29fc72374357c6a6cedb8546747f3b1bc1b1ab",
     ),
     # k = l = 4: both sides run out of unselected middles, so later
     # same-side pairs reuse one.
     "kbipartite 8 9": (
         complete_bipartite(8, 9),
         ["kbipartite", "8", "9"],
-        "e4383aaf4c663deaa4d5d4772cd683965859b21f6a9c860bdf1be22a8b2dbe1c",
+        "5b2249bea3e921222cb221f5171be96b453c74ae0ada28b7c22504dea2e3f44a",
     ),
     # k = 0: the whole set lies on one side.
     "kbipartite 3 3": (
         complete_bipartite(3, 3),
         ["kbipartite", "3", "3"],
-        "07ffcd63b0f8135e76581b1d5b21dd150b89830fd1a376d1037af35baff23af0",
+        "3ca982c0c86b8883b7750a63a6c10e4fea588e94701b5248053f7304077fe888",
     ),
     # Split (1, 2): one matched pair x0, y0 at distance 3.
     "crown 3": (
         crown(3),
         ["crown", "3"],
-        "05bf6080dfa9deeb7677eac73a7cca622b06604319e0bc8d255c0bbc03a78836",
+        "58ab5dd292f88352ab4748e41decef505a67759150f35bbb55311e11ecc8e6dd",
     ),
     # Split (3, 4): three matched pairs.
     "crown 10": (
         crown(10),
         ["crown", "10"],
-        "892f9416bf8dca52588a4e32a31e51a993497700f618c13962952f8e651094f9",
+        "0c9ab3521de1a9648b5c569396c67cf8fa42d09b95788f91020be204545549d4",
     ),
 }
 
