@@ -38,8 +38,26 @@ EXIT_RESOURCE = 3
 EXIT_UNCOVERED = 4
 
 
+def _encode(o, ind: str = "\n") -> str:
+    """``json.dumps(o, indent=2)`` for an acyclic ``o``, joined in C: with
+    ``indent`` set, CPython's json drops to its pure-Python encoder.  A list
+    of plain ints (no bool: ``int.__repr__(True)`` is ``'1'``) is one join;
+    other scalars, and non-str keys, go to ``json.dumps``."""
+    inner = ind + "  "
+    if isinstance(o, dict) and o:
+        key = json.encoder.encode_basestring_ascii
+        items = [(key(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
+                 + (int.__repr__(v) if type(v) is int else _encode(v, inner)) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    if isinstance(o, (list, tuple)) and o:
+        plain = set(map(type, o)) == {int}
+        items = map(int.__repr__, o) if plain else [_encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
+    return json.dumps(o)
+
+
 def _emit(doc, file=None) -> None:
-    print(json.dumps(doc, indent=2), file=file)
+    print(_encode(doc), file=file)
 
 
 def _fail(exc: SgeoError) -> int:

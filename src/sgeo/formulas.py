@@ -88,14 +88,20 @@ def _ceil_x_star(n: int, m: int) -> int:
     """Smallest integer k in [3, n-3] where the continuous extensions cross.
 
     Decides (1 + sqrt(1 + 8(n-k)))/2 >= m - C(k,2) by squaring with sign
-    analysis, entirely over the integers.
+    analysis, entirely over the integers: rhs(k) <= 0 or disc(k) >= rhs(k)^2,
+    with disc(k) = 1 + 8(n-k) and rhs(k) = 2m - k(k-1) - 1.  This test is
+    monotone in k, so k is found by bisection: if it holds at k and
+    rhs(k+1) = rhs(k) - 2k > 0, then rhs(k) >= 2k + 1, so disc(k) >= rhs(k)^2
+    and rhs(k+1)^2 <= disc(k) - 4k^2 - 4k <= disc(k) - 8 = disc(k+1).
     """
-    for k in range(3, n - 2):
-        disc = 1 + 8 * (n - k)
+    lo, hi = 3, n - 2  # hi = n - 2 stands for no crossing in [3, n-3]
+    while lo < hi:
+        k = (lo + hi) // 2
         rhs = 2 * m - k * (k - 1) - 1  # k(k-1) is even, so this is exact
-        if rhs <= 0 or disc >= rhs * rhs:
-            return k
-    raise AssertionError(f"no crossing found in [3, {n - 3}] for ({n}, {m})")
+        lo, hi = (lo, k) if rhs <= 0 or 1 + 8 * (n - k) >= rhs * rhs else (k + 1, hi)
+    if lo > n - 3:
+        raise AssertionError(f"no crossing found in [3, {n - 3}] for ({n}, {m})")
+    return lo
 
 
 def sg_bipartite_closed(n: int, m: int) -> SgResult:

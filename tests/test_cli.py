@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sgeo import construct, hypercube, to_edge_list
-from sgeo.cli import build_parser, main
+from sgeo.cli import _encode, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,6 +123,12 @@ class TestFormula:
         code, out, _ = run(capsys, "formula", "crown", "6")
         doc = json.loads(out)
         assert doc["value"] == 5 and doc["split"] == [2, 3]
+
+    def test_kbipartite_at_ten_to_the_twenty(self, capsys):
+        side = str(10**20)
+        code, out, _ = run(capsys, "formula", "kbipartite", side, side)
+        doc = json.loads(out)
+        assert code == 0 and doc["trace"]["case_label"] == "otherwise"
 
     def test_kbipartite_2_2(self, capsys):
         code, out, _ = run(capsys, "formula", "kbipartite", "2", "2")
@@ -410,6 +417,51 @@ class TestTable:
     def test_range_check(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "61")
         assert code == 2
+
+
+def random_document(rng, depth=0):
+    """A random JSON-able value with the scalars and containers that
+    ``json.dumps`` treats specially."""
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False, 0, -7, 2**64, -(10**40), rng.randrange(-999, 999)])
+    if kind == 1:
+        return rng.choice([0.5, -2.25, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")])
+    if kind == 2:
+        return "".join(rng.choice('az"\\/\n\t\x00\x7féü€\u2028😀 ') for _ in range(rng.randrange(6)))
+    if kind == 3:
+        # Ints, and in half of them one bool, whose int.__repr__ is "1".
+        ints = [rng.choice([rng.randrange(-99, 99), 2**70]) for _ in range(rng.randrange(5))]
+        if rng.random() < 0.5:
+            ints.insert(rng.randrange(len(ints) + 1), rng.choice([True, False]))
+        return ints if rng.random() < 0.7 else tuple(ints)
+    items = [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    keys = ["k", "é\"", "", None, True, False, 3, -2**65, 1.5, float("nan"), float("-inf")]
+    if kind == 6:
+        keys = keys[:3]
+    return {rng.choice(keys): item for item in items}
+
+
+class TestEncode:
+    """``_encode`` is the CLI's writer for ``json.dumps(doc, indent=2)``."""
+
+    def test_matches_stdlib_on_random_documents(self):
+        rng = random.Random(23)
+        for _ in range(10_000):
+            doc = random_document(rng)
+            assert _encode(doc) == json.dumps(doc, indent=2), doc
+
+    def test_rejects_what_stdlib_rejects(self):
+        for doc in ({(1, 2): 0}, [1, object()], {"a": {1j}}):
+            with pytest.raises(TypeError) as ours:
+                _encode(doc)
+            with pytest.raises(TypeError) as theirs:
+                json.dumps(doc, indent=2)
+            assert str(ours.value) == str(theirs.value)
 
 
 class TestParserReuse:

@@ -132,6 +132,22 @@ class TestBipartite:
                 assert big_F(n, kc) >= big_G(m, kc)
                 assert big_G(m, kc - 1) >= big_F(n, kc - 1)
 
+    def test_crossing_bisection_matches_linear_scan(self):
+        def linear(n, m):
+            for k in range(3, n - 2):
+                rhs = 2 * m - k * (k - 1) - 1
+                if rhs <= 0 or 1 + 8 * (n - k) >= rhs * rhs:
+                    return k
+
+        reached = 0
+        for n in range(3, 301):
+            for m in range(n, 301):
+                trace = sg_bipartite_closed(n, m).trace
+                if trace.case_label == "otherwise":
+                    reached += 1
+                    assert trace.ceil_x_star == linear(n, m), (n, m)
+        assert reached > 10_000
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             sg_bipartite_closed(2, 5)

@@ -1,6 +1,9 @@
 import itertools
+import json
 import random
+import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from sgeo import (
     is_geodesic,
     to_edge_list,
 )
+from sgeo import graph as graph_module
 from sgeo.graph import MAX_VERTICES, Graph, bfs_levels, path_defect
 
 
@@ -187,6 +191,93 @@ class TestEdgeList:
     )
     def test_round_trip(self, g):
         assert from_edge_list(to_edge_list(g)) == g
+
+
+Q11_TEXT = to_edge_list(hypercube(11))
+Q11_LINES = Q11_TEXT.splitlines(keepends=True)
+
+
+def canonical_texts():
+    """Edge lists in the form ``gen``, ``to_edge_list`` and the benchmark
+    write: Q11, the benchmark's random pool in file order, crown(3..8)
+    and the two smallest graphs."""
+    texts = [Q11_TEXT]
+    pool = Path(__file__).resolve().parents[1] / "clibench" / "random_pool.json"
+    for entry in json.loads(pool.read_text())["graphs"]:
+        edges = "".join(f"e {u} {v}\n" for u, v in entry["edges"])
+        texts.append(f"p {entry['n']} {len(entry['edges'])}\n" + edges)
+    texts += [to_edge_list(crown(n)) for n in range(3, 9)]
+    return texts + ["p 0 0\n", "p 1 0\n"]
+
+
+def outcome(parse, text):
+    """The graph ``parse`` returns on ``text``, or its error's type and message."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeListPaths:
+    """``from_edge_list`` reads canonical text slice by slice and hands
+    everything else to the line parser ``_parse_lines``."""
+
+    def test_canonical_text_never_reaches_the_line_parser(self, monkeypatch):
+        texts = canonical_texts()
+        expected = [graph_module._parse_lines(t) for t in texts]
+
+        def refuse(text):
+            raise AssertionError("canonical text fell back to the line parser")
+
+        monkeypatch.setattr(graph_module, "_parse_lines", refuse)
+        assert len(texts) == 99
+        for text, g in zip(texts, expected):
+            assert from_edge_list(text) == g
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "".join(Q11_LINES[:2000] + ["e 0 2048\n"] + Q11_LINES[2001:]),
+            "".join(Q11_LINES[:-1] + ["e 7 7\n"]),
+            "".join(Q11_LINES[:500] + ["e 0 1 2\n"] + Q11_LINES[500:]),
+            Q11_TEXT.replace("\n", "\r\n"),
+            "".join(Q11_LINES[:300] + ["c a comment\n", "\n"] + Q11_LINES[300:]),
+            Q11_TEXT[:-1],
+            "p 11 3\ne 01 2\ne 0 +3\ne 1_0 3\n",
+            "p 4 1\ne 1_0 3\n",
+            f"p {MAX_VERTICES + 1} 0\n",
+            "p 3 1\ne 0 1\np 3 1\n",
+            "p 3 1\ne 0 1",
+        ],
+        ids=[
+            "out-of-range-after-first-slice",
+            "self-loop-in-last-slice",
+            "four-fields",
+            "crlf",
+            "comment-and-blank",
+            "no-final-newline",
+            "leading-zero-plus-underscore",
+            "underscore-out-of-range",
+            "header-over-limit",
+            "second-header",
+            "short-last-line",
+        ],
+    )
+    def test_other_text_reads_as_the_line_parser_reads_it(self, text):
+        assert outcome(from_edge_list, text) == outcome(graph_module._parse_lines, text)
+
+    def test_peak_memory(self):
+        # tracemalloc peaks on Q11 with CPython 3.11.7: 1.30 MB for the
+        # line parser alone, 0.65 MB for the sliced reader, and 2.36 MB
+        # for a reader that matches the whole text with one
+        # non-possessive regex and splits it at once.
+        tracemalloc.start()
+        try:
+            from_edge_list(Q11_TEXT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_800_000
 
 
 class TestIsGeodesic:
