@@ -39,10 +39,7 @@ EXIT_UNCOVERED = 4
 
 
 def _encode(o, ind: str = "\n") -> str:
-    """``json.dumps(o, indent=2)`` for an acyclic ``o``, joined in C: with
-    ``indent`` set, CPython's json drops to its pure-Python encoder.  A list
-    of plain ints (no bool: ``int.__repr__(True)`` is ``'1'``) is one join;
-    other scalars, and non-str keys, go to ``json.dumps``."""
+    """``json.dumps(o, indent=2)`` joined in C; no bool joins as an int: it would print 1."""
     inner = ind + "  "
     if isinstance(o, dict) and o:
         key = json.encoder.encode_basestring_ascii
@@ -50,8 +47,7 @@ def _encode(o, ind: str = "\n") -> str:
                  + (int.__repr__(v) if type(v) is int else _encode(v, inner)) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + ind + "}"
     if isinstance(o, (list, tuple)) and o:
-        plain = set(map(type, o)) == {int}
-        items = map(int.__repr__, o) if plain else [_encode(x, inner) for x in o]
+        items = map(int.__repr__, o) if set(map(type, o)) == {int} else [_encode(x, inner) for x in o]
         return "[" + inner + ("," + inner).join(items) + ind + "]"
     return json.dumps(o)
 

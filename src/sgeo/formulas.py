@@ -88,11 +88,10 @@ def _ceil_x_star(n: int, m: int) -> int:
     """Smallest integer k in [3, n-3] where the continuous extensions cross.
 
     Decides (1 + sqrt(1 + 8(n-k)))/2 >= m - C(k,2) by squaring with sign
-    analysis, entirely over the integers: rhs(k) <= 0 or disc(k) >= rhs(k)^2,
-    with disc(k) = 1 + 8(n-k) and rhs(k) = 2m - k(k-1) - 1.  This test is
-    monotone in k, so k is found by bisection: if it holds at k and
-    rhs(k+1) = rhs(k) - 2k > 0, then rhs(k) >= 2k + 1, so disc(k) >= rhs(k)^2
-    and rhs(k+1)^2 <= disc(k) - 4k^2 - 4k <= disc(k) - 8 = disc(k+1).
+    analysis, over the integers: rhs(k) <= 0 or disc(k) >= rhs(k)^2, with
+    disc(k) = 1 + 8(n-k), rhs(k) = 2m - k(k-1) - 1.  It is monotone in k, so
+    k is bisected: if it holds at k and rhs(k+1) = rhs(k) - 2k > 0, then
+    rhs(k) >= 2k + 1 and rhs(k+1)^2 <= disc(k) - 4k^2 - 4k <= disc(k+1).
     """
     lo, hi = 3, n - 2  # hi = n - 2 stands for no crossing in [3, n-3]
     while lo < hi:

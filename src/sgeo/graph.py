@@ -187,29 +187,29 @@ def from_edge_list(text: str) -> Graph:
     """Parse the edge-list format: ``p <n> <m>`` header then ``e <u> <v>`` lines.
 
     Lines starting with ``c`` and blank lines are ignored; duplicate edges
-    are deduplicated silently.  Canonical text, as ``to_edge_list`` writes
-    it, is matched and split in C in line-aligned slices of about 4 KiB,
-    which bound the regex stack and the token list; any other text, or a
-    failed check, goes to ``_parse_lines``, which raises every error.
+    are deduplicated silently.  Canonical text is read in line-aligned slices,
+    which bound the regex stack; the rest goes to ``_parse_lines``, which raises.
     """
-    # re compiles each pattern on first use, not at import, and caches it.
-    head = re.match(r"p ([0-9]+) [0-9]+\n", text)
-    if head is None or int(head[1]) > MAX_VERTICES:
+    head = re.match(r"p ([0-9]+) ([0-9]+)\n", text)
+    if head is None:
         return _parse_lines(text)
-    n, pos = int(head[1]), head.end()
-    rows = [0] * n
-    edges = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
-    while pos < len(text):
-        stop = text.find("\n", pos + 4096) + 1 or len(text)
-        if not edges.fullmatch(text, pos, stop):
-            return _parse_lines(text)
-        fields = text[pos:stop].split()
-        for u, v in zip(map(int, fields[1::3]), map(int, fields[2::3])):
-            if u >= n or v >= n or u == v:
+    try:
+        n, _ = map(int, head.groups())
+        _check_order(n, "line 1: the header")
+        rows, pos = [0] * n, head.end()
+        while pos < len(text):
+            chunk = text[pos:text.find("\n", pos + 4096) + 1 or len(text)]
+            if not re.fullmatch(r"(?:e [0-9]+ [0-9]+\n)*", chunk):
                 return _parse_lines(text)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        pos = stop
+            fields = chunk.split()
+            for u, v in zip(map(int, fields[1::3]), map(int, fields[2::3])):
+                if u >= n or v >= n or u == v:
+                    return _parse_lines(text)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            pos += len(chunk)
+    except ValueError:  # a digit run over int()'s str-digit limit
+        return _parse_lines(text)
     return Graph._symmetric(n, rows)
 
 

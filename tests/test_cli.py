@@ -92,6 +92,23 @@ class TestExact:
         assert json.loads(err)["payload"]["code"] == "DimensionTooLarge"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 3 1\ne 0 " + "9" * 5000 + "\n", "line 2: non-integer endpoint"),
+            ("p " + "9" * 5000 + " 0\n", "line 1: non-integer header field"),
+            ("p 3 " + "9" * 5000 + "\n", "line 1: non-integer header field"),
+        ],
+        ids=["endpoint", "order", "edge-count"],
+    )
+    def test_digit_run_over_int_limit_is_json(self, capsys, tmp_path, text, message):
+        # int() refuses more than 4,300 digits; that stays a ParseError.
+        graph_file = tmp_path / "long.txt"
+        graph_file.write_text(text)
+        code, out, err = run(capsys, "exact", str(graph_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["payload"] == {"code": "ParseError", "message": message}
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             # exact has no geodesic cap; the flag is a usage error.

@@ -248,6 +248,9 @@ class TestEdgeListPaths:
             f"p {MAX_VERTICES + 1} 0\n",
             "p 3 1\ne 0 1\np 3 1\n",
             "p 3 1\ne 0 1",
+            "p 3 1\ne 0 " + "9" * 5000 + "\n",
+            "p " + "9" * 5000 + " 0\n",
+            "p 3 " + "9" * 5000 + "\n",
         ],
         ids=[
             "out-of-range-after-first-slice",
@@ -261,6 +264,9 @@ class TestEdgeListPaths:
             "header-over-limit",
             "second-header",
             "short-last-line",
+            "endpoint-over-int-digit-limit",
+            "order-over-int-digit-limit",
+            "edge-count-over-int-digit-limit",
         ],
     )
     def test_other_text_reads_as_the_line_parser_reads_it(self, text):
