@@ -14,8 +14,7 @@ check, from one search cut one level short of the path's length.  Every
 question about the geodesics themselves goes to ``Geodesics``, which
 keeps one DAG per source: the levels plus each vertex's level index.
 The u-v interval is read off the DAGs of u and v, and counting,
-enumeration, the exact solver's closure rows and the decision search's
-segment table all start from it.
+enumeration and the decision search's segment table all start from it.
 
 ``Graph(n, adj)`` checks rows that come from outside: one row per
 vertex, no bit at or above n, no self-loop, and symmetry.  The family
@@ -144,14 +143,12 @@ def hypercube(n: int) -> Graph:
     max_dim = MAX_VERTICES.bit_length() - 1
     if not 0 <= n <= max_dim:
         raise DimensionTooLarge(f"hypercube dimension {n} outside [0, {max_dim}]")
-    size = 1 << n
-    rows = []
-    for v in range(size):
-        row = 0
-        for b in range(n):
-            row |= 1 << (v ^ (1 << b))
-        rows.append(row)
-    return Graph._symmetric(size, rows, ("hypercube", n))
+    # Q_{k+1} is two copies of Q_k, vertex v of the first joined to v + 2^k.
+    rows = [0]
+    for k in range(n):
+        h = 1 << k
+        rows = [r | 1 << (v + h) for v, r in enumerate(rows)] + [r << h | 1 << v for v, r in enumerate(rows)]
+    return Graph._symmetric(1 << n, rows, ("hypercube", n))
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
@@ -191,7 +188,10 @@ def from_edge_list(text: str) -> Graph:
     which bound the regex stack; the rest goes to ``_parse_lines``, which raises.
     """
     head = re.match(r"p ([0-9]+) ([0-9]+)\n", text)
-    if head is None:
+    # Text that is not canonical up to its last line goes to the line
+    # parser before any slice is read, so a late deviation costs no pass.
+    last = text[text.rfind("\n", 0, -1) + 1:]
+    if head is None or head.end() < len(text) and not re.fullmatch(r"e [0-9]+ [0-9]+\n", last):
         return _parse_lines(text)
     try:
         n, _ = map(int, head.groups())

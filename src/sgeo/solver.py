@@ -14,8 +14,11 @@ grows I[S] as it adds vertices, and runs the decision search only on
 sets with I[S] = V.  This skips no success: the search covers at most
 I[S], and fails at once otherwise.  One ``verify._PairCache`` per call
 holds the graph's geodesic DAGs, which give the distances and the
-diameter; each closure row is the union of a ``Geodesics.interval``,
-and the search shares the object and alone fills its segment table.
+diameter; each closure row, the interval I(u, w), is read off the
+levels of the DAGs of u and w, and the search shares the object and
+alone fills its segment table.  A node with one vertex left to add gets
+no call of its own: its parent's loop decides that last vertex, in the
+same order, by the budget, twin and closure tests below.
 
 A simplicial vertex (its neighbours pairwise adjacent) is on no
 geodesic's interior, so it is in every geodetic set (Chartrand, Harary
@@ -47,6 +50,7 @@ witnesses stay the same.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, and_
 from typing import Optional
 
 from .errors import Disconnected, DiameterTooSmall, SizeLimitExceeded
@@ -109,14 +113,17 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     if g.n == 1:
         return SgResult(1, "exact", witness=Witness((0,), ()))
     cache = _PairCache(g)
-    dist = [cache.dag(u)[1] for u in range(g.n)]
+    levels, dist = zip(*map(cache.dag, range(g.n)))
     d = max(map(max, dist))
     full = (1 << g.n) - 1
-    # rows[w][u] is the union of the interval I(u, w).
+    # rows[w][u] is the union of the interval I(u, w): level a from u met
+    # with level d(u, w) - a from w.  The levels are disjoint, so their
+    # sum is their union.
     rows = [[0] * g.n for _ in range(g.n)]
     for u in range(g.n):
         for w in range(u + 1, g.n):
-            rows[u][w] = rows[w][u] = sum(cache.interval(u, w))
+            e = dist[u][w]
+            rows[u][w] = rows[w][u] = sum(map(and_, levels[u][:e + 1], levels[w][e::-1]))
 
     forced_set = forced_vertices(g)
     forced = sorted(forced_set)
@@ -127,17 +134,15 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     # gaps[w][p] = d(w, free[p]) - 1, the most a fixed w-free[p] geodesic
     # adds to the budget.
     gaps = [[du[x] - 1 for x in free] for du in dist]
-    zeros = [0] * len(free)
     need = twin_predecessors(g)
 
     def walk(
         i: int, left: int, chosen: list[int], taken: int, closure: int,
-        budget: int, span: list[int], gap: list[int],
+        budget: int, span: list[int],
     ) -> Optional[Witness]:
         # budget is the chosen set's path budget; adding free[p] adds
-        # 1 + span[p] + gap[p] to it.  gap is zeros or, with one vertex
-        # left to add, the last chosen vertex's gaps row: only nodes with
-        # more to add sort their spans, so only they need the sum.
+        # 1 + span[p] to it.  A child with one vertex left to add gets no
+        # call: this loop decides its last vertex.
         if not left:
             if closure < full or budget < g.n:
                 return None
@@ -150,14 +155,12 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
             w = free[j]
             if need[w] & ~taken:
                 continue
-            size = budget + 1 + span[j] + gap[j]
+            size = budget + 1 + span[j]
             if more > 1:
-                grown_span, grown_gap = [s + e for s, e in zip(span, gaps[w])], zeros
+                grown_span = list(map(add, span, gaps[w]))
                 top = sum(sorted(grown_span[j + 1:])[-more:])
             else:
-                # The child sums no spans.  With more == 1, gap is zeros
-                # here and gaps[w] is at most d - 1.
-                grown_span, grown_gap = span, gaps[w]
+                # The last vertex x adds its span plus d(w, x) - 1 <= d - 1.
                 top = more and max(span[j + 1:]) + d - 1
             if size + rest + top < g.n:
                 continue
@@ -165,9 +168,27 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
             grown = closure | 1 << w
             for u in chosen:
                 grown |= row[u]
+            if more > 1:
+                found = walk(j + 1, more, chosen + [w], taken | 1 << w, grown, size, grown_span)
+                if found is not None:
+                    return found
+            elif more:
+                # The last vertex x = free[k]: budget, twins, then closure.
+                gap, low, held = gaps[w], g.n - size - 1, taken | 1 << w
+                for k in range(j + 1, len(free)):
+                    x = free[k]
+                    if span[k] + gap[k] < low or need[x] & ~held:
+                        continue
+                    cover = grown | 1 << x | row[x]
+                    for u in chosen:
+                        cover |= rows[x][u]
+                    if cover >= full:
+                        found = _search(g, sorted(chosen + [w, x]), cache)
+                        if found is not None:
+                            return found
             # Sets short of V are dropped here, cheaper than a call each.
-            if more or grown >= full:
-                found = walk(j + 1, more, chosen + [w], taken | 1 << w, grown, size, grown_span, grown_gap)
+            elif grown >= full:
+                found = _search(g, sorted(chosen + [w]), cache)
                 if found is not None:
                     return found
         return None
@@ -179,7 +200,7 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
         budget += dist[u][v] - 1
     span = [sum(gaps[u][p] for u in forced) for p in range(len(free))]
     for t in range(start, g.n + 1):
-        found = walk(0, t - len(forced), forced, taken, closure, budget, span, zeros)
+        found = walk(0, t - len(forced), forced, taken, closure, budget, span)
         if found is not None:
             return SgResult(t, "exact", witness=found)
     raise AssertionError("search must succeed at t = |V|")

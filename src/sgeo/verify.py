@@ -78,11 +78,18 @@ def _vertex(x) -> int:
     return x
 
 
+def _vertices(xs) -> tuple[int, ...]:
+    """xs as a tuple of JSON integers, checked by one type set; only a
+    failing list goes through ``_vertex``, which names its first bad vertex."""
+    xs = tuple(xs)
+    return xs if set(map(type, xs)) <= {int} else tuple(map(_vertex, xs))
+
+
 def witness_from_dict(data: dict) -> Witness:
     try:
-        verts = tuple(_vertex(v) for v in data["set"])
+        verts = _vertices(data["set"])
         assignment = tuple(
-            PairGeodesic(_vertex(a["u"]), _vertex(a["v"]), tuple(_vertex(x) for x in a["path"]))
+            PairGeodesic(_vertex(a["u"]), _vertex(a["v"]), _vertices(a["path"]))
             for a in data["assignment"]
         )
     except (KeyError, TypeError) as exc:

@@ -28,7 +28,7 @@ from sgeo import (
     to_edge_list,
 )
 from sgeo import graph as graph_module
-from sgeo.graph import MAX_VERTICES, Graph, bfs_levels, path_defect
+from sgeo.graph import MAX_VERTICES, Graph, bfs_levels, iter_bits, path_defect
 
 
 def brute_force_shortest_paths(g, u, v):
@@ -75,6 +75,16 @@ class TestGenerators:
         )
         assert g.edge_count() == edges == 32
         assert diameter(g) == 4
+
+    def test_hypercube_is_the_popcount_one_graph(self):
+        # Built by doubling; checked against the definition: u ~ v iff
+        # u ^ v has exactly one bit, and each vertex has n such u.
+        for n in range(13):
+            g = hypercube(n)
+            assert g.n == 1 << n and g.family == ("hypercube", n)
+            for v, row in enumerate(g.adj):
+                assert row.bit_count() == n
+                assert all((u ^ v).bit_count() == 1 for u in iter_bits(row))
 
     def test_hypercube_rejects_large(self):
         with pytest.raises(DimensionTooLarge):
@@ -243,6 +253,8 @@ class TestEdgeListPaths:
             Q11_TEXT.replace("\n", "\r\n"),
             "".join(Q11_LINES[:300] + ["c a comment\n", "\n"] + Q11_LINES[300:]),
             Q11_TEXT[:-1],
+            Q11_TEXT + "c the end\n",
+            Q11_TEXT + "c no newline",
             "p 11 3\ne 01 2\ne 0 +3\ne 1_0 3\n",
             "p 4 1\ne 1_0 3\n",
             f"p {MAX_VERTICES + 1} 0\n",
@@ -259,6 +271,8 @@ class TestEdgeListPaths:
             "crlf",
             "comment-and-blank",
             "no-final-newline",
+            "trailing-comment",
+            "trailing-comment-no-newline",
             "leading-zero-plus-underscore",
             "underscore-out-of-range",
             "header-over-limit",
@@ -271,6 +285,26 @@ class TestEdgeListPaths:
     )
     def test_other_text_reads_as_the_line_parser_reads_it(self, text):
         assert outcome(from_edge_list, text) == outcome(graph_module._parse_lines, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [Q11_TEXT[:-1], Q11_TEXT + "c the end\n", "p 3 1\ne 0 1\n\n"],
+        ids=["no-final-newline", "trailing-comment", "trailing-blank"],
+    )
+    def test_late_deviation_reads_no_slice(self, monkeypatch, text):
+        # Text whose last line is not a canonical edge line goes to the
+        # line parser before the first slice: only that one line is
+        # matched, where a slice holds several.
+        matched = []
+        fullmatch = graph_module.re.fullmatch
+
+        def record(pattern, string, *args):
+            matched.append(string)
+            return fullmatch(pattern, string, *args)
+
+        monkeypatch.setattr(graph_module.re, "fullmatch", record)
+        assert from_edge_list(text) == graph_module._parse_lines(text)
+        assert all(s.count("\n") <= 1 for s in matched)
 
     def test_peak_memory(self):
         # tracemalloc peaks on Q11 with CPython 3.11.7: 1.30 MB for the

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -27,6 +28,7 @@ from sgeo import graph, solver
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
 from sgeo.verify import _PairCache, _search, make_witness
+from test_golden import benchmark_graphs
 
 
 def path_graph(n):
@@ -446,3 +448,13 @@ class TestPathBudget:
         # Without the budget the closure filter and the twin rule leave
         # 732 sets of Q4 and 3,437 of crown(8) to decide.
         assert len(self.decided_sets(monkeypatch, g)) == decisions
+
+    def test_decided_sets_of_the_benchmark_graphs(self, monkeypatch):
+        # Every set sg_exact decides over the benchmark's 149 graphs, in
+        # order: 231 on the family graphs and 464 on the random pool.
+        decided = []
+        for g in benchmark_graphs():
+            decided += self.decided_sets(monkeypatch, g)
+        assert len(decided) == 695
+        digest = hashlib.sha256(json.dumps(decided).encode()).hexdigest()
+        assert digest == "af7ebd8773dd253dc1b6fa7f2b7eb12d6fce9195f659f0e4f2bd31cb3c1d6052"

@@ -134,6 +134,38 @@ class TestVerifyWitness:
             with pytest.raises(MalformedWitness, match="not an integer"):
                 witness_from_dict(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1"], ids=repr)
+    @pytest.mark.parametrize("field", ["set", "u", "v", "path"])
+    def test_first_non_integer_vertex_is_named(self, field, bad):
+        # A list checks its types at once; only a failing one is read
+        # vertex by vertex, so the message names its first bad vertex.
+        pair = {"u": 0, "v": 3, "path": [0, 1, 3]}
+        if field == "set":
+            doc = {"set": [0, bad, 3.5], "assignment": []}
+        elif field == "path":
+            doc = {"set": [0, 3], "assignment": [{**pair, "path": [0, bad, "3"]}]}
+        else:
+            doc = {"set": [0, 3], "assignment": [{**pair, field: bad}]}
+        with pytest.raises(MalformedWitness) as info:
+            witness_from_dict(doc)
+        assert str(info.value) == f"bad witness document: vertex {bad!r} is not an integer"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"set": 5, "assignment": []}, "'int' object is not iterable"),
+            ({"set": None, "assignment": []}, "'NoneType' object is not iterable"),
+            ({"set": "03", "assignment": []}, "vertex '0' is not an integer"),
+            ({"set": [0, 3], "assignment": [{"u": 0, "v": 3, "path": 7}]}, "'int' object is not iterable"),
+            ({"set": [0, 3]}, "'assignment'"),
+        ],
+        ids=["int-set", "null-set", "string-set", "int-path", "no-assignment"],
+    )
+    def test_non_list_fields(self, doc, message):
+        with pytest.raises(MalformedWitness) as info:
+            witness_from_dict(doc)
+        assert str(info.value) == f"bad witness document: {message}"
+
 
 def oracle_report(n, nbrs, dist, sel, assignment):
     """(covered, uncovered_vertices, invalid_paths) of a witness whose
