@@ -186,7 +186,7 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
                         found = _search(g, sorted(chosen + [w, x]), cache)
                         if found is not None:
                             return found
-            # Sets short of V are dropped here, cheaper than a call each.
+            # w is the last vertex only when the first call has one to add.
             elif grown >= full:
                 found = _search(g, sorted(chosen + [w]), cache)
                 if found is not None:
