@@ -3,21 +3,22 @@
 Cardinality-ascending subset search: sizes grow from the best known
 lower bound, subsets of each size are enumerated lexicographically
 (always containing every forced vertex, below), and the first subset
-that admits a covering geodesic assignment wins.  One search,
-``verify._search``, decides each candidate by growing a chain of
-committed vertices per pair, and builds the witness of the first set
+that admits a covering geodesic assignment wins.  The enumeration
+yields the sets that pass its filters, and ``sg_exact`` decides them
+in one loop by one search, ``verify._search``, which grows a chain of
+committed vertices per pair and builds the witness of the first set
 it accepts from those chains.
 
 A strong geodetic set is first of all a geodetic set: the union I[S] of
 its vertices' pairwise intervals must be every vertex.  The enumeration
-grows I[S] as it adds vertices, and runs the decision search only on
-sets with I[S] = V.  This skips no success: the search covers at most
-I[S], and fails at once otherwise.  One ``verify._PairCache`` per call
-holds the graph's geodesic DAGs, which give the distances and the
+grows I[S] as it adds vertices, and yields only sets with I[S] = V.
+This skips no success: the search covers at most I[S], and fails at
+once otherwise.  One ``verify._PairCache`` per call holds the graph's
+geodesic DAGs, which give connectivity, the distances and the
 diameter; each closure row, the interval I(u, w), is read off the
 levels of the DAGs of u and w, and the search shares the object and
 alone fills its segment table.  A node with one vertex left to add gets
-no call of its own: its parent's loop decides that last vertex, in the
+no call of its own: its parent's loop picks that last vertex, in the
 same order, by the budget, twin and closure tests below.
 
 A simplicial vertex (its neighbours pairwise adjacent) is on no
@@ -51,13 +52,13 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import add, and_
-from typing import Optional
+from typing import Iterator
 
 from .errors import Disconnected, DiameterTooSmall, SizeLimitExceeded
-from .graph import Graph, diameter, is_connected, iter_bits
+from .graph import Graph, diameter, iter_bits
 from .intmath import ceil_sqrt_ratio
 from .results import SgResult
-from .verify import Witness, _PairCache, _search
+from .verify import _PairCache, _search
 
 DEFAULT_MAX_VERTICES = 20
 
@@ -104,18 +105,17 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     ``max_vertices`` is a soft safety limit (raise it explicitly for
     bigger instances).
     """
-    if g.n == 0 or not is_connected(g):
+    cache = _PairCache(g)
+    full = (1 << g.n) - 1
+    # The DAG from vertex 0 spans its component; the levels are disjoint.
+    if g.n == 0 or sum(cache.dag(0)[0]) < full:
         raise Disconnected("exact solver needs a connected, nonempty graph")
     if g.n > max_vertices:
         raise SizeLimitExceeded(
             f"{g.n} vertices exceeds limit {max_vertices}; pass a higher max_vertices"
         )
-    if g.n == 1:
-        return SgResult(1, "exact", witness=Witness((0,), ()))
-    cache = _PairCache(g)
     levels, dist = zip(*map(cache.dag, range(g.n)))
     d = max(map(max, dist))
-    full = (1 << g.n) - 1
     # rows[w][u] is the union of the interval I(u, w): level a from u met
     # with level d(u, w) - a from w.  The levels are disjoint, so their
     # sum is their union.
@@ -130,7 +130,7 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     free = [v for v in range(g.n) if v not in forced_set]
     # In a complete graph geodesics are single edges and cover nothing
     # new, so only V itself passes the closure filter.
-    start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), 2)
+    start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), min(g.n, 2))
     # gaps[w][p] = d(w, free[p]) - 1, the most a fixed w-free[p] geodesic
     # adds to the budget.
     gaps = [[du[x] - 1 for x in free] for du in dist]
@@ -139,14 +139,14 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     def walk(
         i: int, left: int, chosen: list[int], taken: int, closure: int,
         budget: int, span: list[int],
-    ) -> Optional[Witness]:
+    ) -> Iterator[list[int]]:
         # budget is the chosen set's path budget; adding free[p] adds
         # 1 + span[p] to it.  A child with one vertex left to add gets no
-        # call: this loop decides its last vertex.
+        # call: this loop picks its last vertex.
         if not left:
-            if closure < full or budget < g.n:
-                return None
-            return _search(g, sorted(chosen), cache)
+            if closure >= full and budget >= g.n:
+                yield sorted(chosen)
+            return
         more = left - 1
         # Besides w, the vertices still to come add at most 1 each, their
         # largest spans (top), and d - 1 per pair of them.
@@ -161,18 +161,14 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
                 top = sum(sorted(grown_span[j + 1:])[-more:])
             else:
                 # The last vertex x adds its span plus d(w, x) - 1 <= d - 1.
-                top = more and max(span[j + 1:]) + d - 1
+                grown_span, top = span, more and max(span[j + 1:]) + d - 1
             if size + rest + top < g.n:
                 continue
             row = rows[w]
             grown = closure | 1 << w
             for u in chosen:
                 grown |= row[u]
-            if more > 1:
-                found = walk(j + 1, more, chosen + [w], taken | 1 << w, grown, size, grown_span)
-                if found is not None:
-                    return found
-            elif more:
+            if more == 1:
                 # The last vertex x = free[k]: budget, twins, then closure.
                 gap, low, held = gaps[w], g.n - size - 1, taken | 1 << w
                 for k in range(j + 1, len(free)):
@@ -183,15 +179,9 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
                     for u in chosen:
                         cover |= rows[x][u]
                     if cover >= full:
-                        found = _search(g, sorted(chosen + [w, x]), cache)
-                        if found is not None:
-                            return found
-            # w is the last vertex only when the first call has one to add.
-            elif grown >= full:
-                found = _search(g, sorted(chosen + [w]), cache)
-                if found is not None:
-                    return found
-        return None
+                        yield sorted(chosen + [w, x])
+            else:
+                yield from walk(j + 1, more, chosen + [w], taken | 1 << w, grown, size, grown_span)
 
     closure = taken = sum(1 << w for w in forced)
     budget = len(forced)
@@ -200,7 +190,8 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
         budget += dist[u][v] - 1
     span = [sum(gaps[u][p] for u in forced) for p in range(len(free))]
     for t in range(start, g.n + 1):
-        found = walk(0, t - len(forced), forced, taken, closure, budget, span)
-        if found is not None:
-            return SgResult(t, "exact", witness=found)
+        for sel in walk(0, t - len(forced), forced, taken, closure, budget, span):
+            found = _search(g, sel, cache)
+            if found is not None:
+                return SgResult(t, "exact", witness=found)
     raise AssertionError("search must succeed at t = |V|")

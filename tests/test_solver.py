@@ -86,7 +86,10 @@ class TestExact:
 
     def test_single_vertex(self):
         res = sg_exact(hypercube(0))
-        assert res.value == 1
+        assert res.to_dict() == {
+            "value": 1, "method": "exact", "witness": {"set": [0], "assignment": []},
+            "trace": None, "split": None,
+        }
 
     def test_complete_graphs(self):
         for k in (2, 3, 5):
@@ -100,13 +103,21 @@ class TestExact:
             assert res.value == m
 
     def test_disconnected_rejected(self):
-        g = graph_from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
-            sg_exact(g)
+        for g in (graph_from_edges(4, [(0, 1), (2, 3)]), graph_from_edges(0, [])):
+            with pytest.raises(Disconnected):
+                sg_exact(g)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):
             sg_exact(hypercube(5))
+
+    def test_disconnected_before_size_limit(self):
+        # Connectivity is checked first: a disconnected graph over the
+        # limit is Disconnected, a connected one SizeLimitExceeded.
+        with pytest.raises(Disconnected):
+            sg_exact(graph_from_edges(30, [(0, 1)]))
+        with pytest.raises(SizeLimitExceeded):
+            sg_exact(path_graph(21))
 
     def test_size_limit_override(self):
         g = complete_bipartite(1, 21)  # 22 vertices, trivially solvable
@@ -162,7 +173,7 @@ class TestExactProperties:
     @pytest.mark.parametrize("g", [crown(6), hypercube(4)], ids=["crown6", "Q4"])
     def test_one_bfs_per_vertex(self, monkeypatch, g):
         # The closure table and the pair cache share one geodesic DAG per
-        # source; the only other BFS is the connectivity check.
+        # source, and the connectivity check reads the first of them.
         sources = []
         real = graph.bfs_levels
 
@@ -172,7 +183,7 @@ class TestExactProperties:
 
         monkeypatch.setattr(graph, "bfs_levels", counted)
         sg_exact(g)
-        assert len(sources) <= g.n + 1
+        assert len(sources) == g.n
 
     def test_random_pool(self):
         # The exact_random benchmark's 90 graphs on 14 to 18 vertices, each
