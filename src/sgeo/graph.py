@@ -122,7 +122,7 @@ def _check_order(n: int, what: str) -> None:
         raise DimensionTooLarge(f"{what} has {n} vertices, more than the limit {MAX_VERTICES}")
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], family: Optional[tuple] = None) -> Graph:
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -131,7 +131,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], family: Optional[
             raise ParseError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph._symmetric(n, rows, family)
+    return Graph._symmetric(n, rows)
 
 
 def hypercube(n: int) -> Graph:

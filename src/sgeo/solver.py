@@ -30,13 +30,15 @@ sets of one size, so the same sets reach the search in the same order.
 A fixed u-v geodesic holds at most d(u, v) - 1 vertices besides u and v,
 so the paths of S hold at most |S| + sum over its pairs of (d(u, v) - 1)
 vertices, its path budget.  The start size is the smallest t whose
-budget reaches n with every distance set to the diameter d.  The
-enumeration carries each set's budget and, per remaining vertex w, its
-span, the sum of d(u, w) - 1 over the chosen u.  It skips every set
+budget reaches n with every distance set to the diameter d.  The walk
+carries each set's budget, closure and, per vertex x, its span, the sum
+of d(u, x) - 1 over the taken u, and reach, the union of their I(u, x).
+One rule adds every vertex, the forced ones first: x adds 1 + span[x]
+to the budget and reach[x] to the closure.  The walk skips every set
 whose budget is below n, and every branch whose best completion is:
-each vertex still to come adds 1 plus one of the largest spans left,
-and d - 1 per pair among them.  Such a set cannot cover V, so the
-search would reject it: no success is skipped.
+each vertex still to come adds 1 plus one of the largest spans after
+the last chosen vertex, and d - 1 per pair among them.  Such a set
+cannot cover V, so the search would reject it: no success is skipped.
 
 Twins (equal open or closed neighbourhoods) swap by a transposition,
 an automorphism, so a twin class contributes its smallest members
@@ -50,8 +52,8 @@ witnesses stay the same.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import add, and_
+from functools import reduce
+from operator import add, and_, or_
 from typing import Iterator
 
 from .errors import Disconnected, DiameterTooSmall, SizeLimitExceeded
@@ -61,6 +63,9 @@ from .results import SgResult
 from .verify import _PairCache, _search
 
 DEFAULT_MAX_VERTICES = 20
+
+# A walk node: (taken, closure, budget, span, reach).
+State = tuple[int, int, int, list[int], list[int]]
 
 
 def lower_bound_general(g: Graph) -> int:
@@ -125,73 +130,62 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
             e = dist[u][w]
             rows[u][w] = rows[w][u] = sum(map(and_, levels[u][:e + 1], levels[w][e::-1]))
 
-    forced_set = forced_vertices(g)
-    forced = sorted(forced_set)
-    free = [v for v in range(g.n) if v not in forced_set]
+    forced = forced_vertices(g)
     # In a complete graph geodesics are single edges and cover nothing
     # new, so only V itself passes the closure filter.
     start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), min(g.n, 2))
-    # gaps[w][p] = d(w, free[p]) - 1, the most a fixed w-free[p] geodesic
-    # adds to the budget.
-    gaps = [[du[x] - 1 for x in free] for du in dist]
+    # gaps[w][x] = d(w, x) - 1, the most a w-x geodesic adds to the budget.
+    gaps = [[e - 1 for e in du] for du in dist]
     need = twin_predecessors(g)
 
-    def walk(
-        i: int, left: int, chosen: list[int], taken: int, closure: int,
-        budget: int, span: list[int],
-    ) -> Iterator[list[int]]:
-        # budget is the chosen set's path budget; adding free[p] adds
-        # 1 + span[p] to it.  A child with one vertex left to add gets no
-        # call: this loop picks its last vertex.
+    def grow(state: State, x: int) -> State:
+        # The one rule that adds a vertex x, forced or chosen.
+        taken, closure, budget, span, reach = state
+        return (taken | 1 << x, closure | 1 << x | reach[x], budget + 1 + span[x],
+                list(map(add, span, gaps[x])), list(map(or_, reach, rows[x])))
+
+    def walk(i: int, left: int, state: State) -> Iterator[list[int]]:
+        # A child with one vertex left to add gets no call: this loop
+        # picks its last vertex.
+        taken, closure, budget, span, reach = state
         if not left:
             if closure >= full and budget >= g.n:
-                yield sorted(chosen)
+                yield list(iter_bits(taken))
             return
         more = left - 1
         # Besides w, the vertices still to come add at most 1 each, their
         # largest spans (top), and d - 1 per pair of them.
         rest = more + more * (more - 1) // 2 * (d - 1)
-        for j in range(i, len(free) - more):
-            w = free[j]
-            if need[w] & ~taken:
+        for w in range(i, g.n - more):
+            if taken >> w & 1 or need[w] & ~taken:
                 continue
-            size = budget + 1 + span[j]
+            size = budget + 1 + span[w]
             if more > 1:
-                grown_span = list(map(add, span, gaps[w]))
-                top = sum(sorted(grown_span[j + 1:])[-more:])
+                top = sum(sorted(map(add, span[w + 1:], gaps[w][w + 1:]))[-more:])
             else:
                 # The last vertex x adds its span plus d(w, x) - 1 <= d - 1.
-                grown_span, top = span, more and max(span[j + 1:]) + d - 1
+                top = more and max(span[w + 1:]) + d - 1
             if size + rest + top < g.n:
                 continue
-            row = rows[w]
-            grown = closure | 1 << w
-            for u in chosen:
-                grown |= row[u]
             if more == 1:
-                # The last vertex x = free[k]: budget, twins, then closure.
-                gap, low, held = gaps[w], g.n - size - 1, taken | 1 << w
-                for k in range(j + 1, len(free)):
-                    x = free[k]
-                    if span[k] + gap[k] < low or need[x] & ~held:
+                # The last vertex x: budget, twins, then closure.
+                grown, held = closure | 1 << w | reach[w], taken | 1 << w
+                gap, row, low = gaps[w], rows[w], g.n - size - 1
+                for x in range(w + 1, g.n):
+                    if held >> x & 1 or span[x] + gap[x] < low or need[x] & ~held:
                         continue
-                    cover = grown | 1 << x | row[x]
-                    for u in chosen:
-                        cover |= rows[x][u]
-                    if cover >= full:
-                        yield sorted(chosen + [w, x])
+                    if grown | 1 << x | reach[x] | row[x] >= full:
+                        yield list(iter_bits(held | 1 << x))
             else:
-                yield from walk(j + 1, more, chosen + [w], taken | 1 << w, grown, size, grown_span)
+                yield from walk(w + 1, more, grow(state, w))
 
-    closure = taken = sum(1 << w for w in forced)
-    budget = len(forced)
-    for u, v in combinations(forced, 2):
-        closure |= rows[u][v]
-        budget += dist[u][v] - 1
-    span = [sum(gaps[u][p] for u in forced) for p in range(len(free))]
+    state = reduce(grow, forced, (0, 0, 0, [0] * g.n, [0] * g.n))
     for t in range(start, g.n + 1):
-        for sel in walk(0, t - len(forced), forced, taken, closure, budget, span):
+        for sel in walk(0, t - len(forced), state):
             found = _search(g, sel, cache)
             if found is not None:
+                # walk holds itself through its closure; dropping it frees
+                # its tables now instead of at the next cyclic collection.
+                del walk
                 return SgResult(t, "exact", witness=found)
     raise AssertionError("search must succeed at t = |V|")

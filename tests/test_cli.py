@@ -373,20 +373,30 @@ class TestVerify:
         assert code == 0 and json.loads(out)["covered"] is True
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "{not json",
-            "5",
-            "[]",
-            "[" * 100_000,
-            '{"set": [1e400], "assignment": []}',
-            '{"set": [1.5, 2], "assignment": []}',
-            '{"set": [1, 2], "assignment": [{"u": 1, "v": 2, "path": [1, 0, "2"]}]}',
-            '{"set": [1, 2], "assignment": [{"u": true, "v": 2, "path": [1, 0, 2]}]}',
+            ("{not json", "witness is not JSON: JSONDecodeError("),
+            ("5", "bad witness document: "),
+            ("[]", "bad witness document: "),
+            ("[" * 100_000, "witness is not JSON: RecursionError("),
+            ('{"set": [1e400], "assignment": []}',
+             "bad witness document: vertex inf is not an integer"),
+            ('{"set": [1.5, 2], "assignment": []}',
+             "bad witness document: vertex 1.5 is not an integer"),
+            ('{"set": [1, 2], "assignment": [{"u": 1, "v": 2, "path": [1, 0, "2"]}]}',
+             "bad witness document: vertex '2' is not an integer"),
+            ('{"set": [1, 2], "assignment": [{"u": true, "v": 2, "path": [1, 0, 2]}]}',
+             "bad witness document: vertex True is not an integer"),
+            ('{"set": [0, 0, 3], "assignment": []}', "selected set contains duplicates"),
+            ('{"set": [0, 3], "assignment": [{"u": 0, "v": 2, "path": [0, 2]}]}',
+             "assignment pair (0, 2) not a pair of the set"),
+            ('{"set": [0, 3], "assignment": [{"u": 0, "v": 0, "path": [0]}]}',
+             "assignment pair (0, 0) not a pair of the set"),
         ],
-        ids=["invalid", "number", "list", "deep", "overflow", "float", "string", "bool"],
+        ids=["invalid", "number", "list", "deep", "overflow", "float", "string", "bool",
+             "duplicate", "foreign-pair", "loop-pair"],
     )
-    def test_malformed_json_exits_2(self, capsys, tmp_path, text):
+    def test_malformed_json_exits_2(self, capsys, tmp_path, text, message):
         graph_file, witness_file = self.make_files(capsys, tmp_path, {})
         witness_file.write_text(text)
         code, out, err = run(capsys, "verify", str(graph_file), str(witness_file))
@@ -394,6 +404,7 @@ class TestVerify:
         doc = json.loads(err)
         assert doc["status"] == "error"
         assert doc["payload"]["code"] == "MalformedWitness"
+        assert doc["payload"]["message"].startswith(message)
 
     def test_construct_output_round_trips(self, capsys, tmp_path):
         _, out, _ = run(capsys, "construct", "hypercube", "5", "--n0", "3")

@@ -1,6 +1,7 @@
 import pytest
 
 from sgeo import (
+    CrownSplit,
     OutOfRange,
     big_F,
     big_G,
@@ -265,3 +266,19 @@ class TestHypercubeBounds:
             hypercube_upper_improved_at(8, 3)
         with pytest.raises(OutOfRange):
             hypercube_upper_basic_at(4, 5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: g_val(5, -1), OutOfRange, "p=-1 negative"),
+        (lambda: sg_complete_bipartite(0, 3), OutOfRange, "side sizes must be positive"),
+        (lambda: hypercube_upper_basic(0), OutOfRange, "upper bound needs n >= 1, got 0"),
+        (lambda: CrownSplit(1, 3), ValueError, "split sides must differ by at most 1"),
+    ],
+    ids=["g_val", "sg_complete_bipartite", "hypercube_upper_basic", "crown-split"],
+)
+def test_argument_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

@@ -28,7 +28,7 @@ from sgeo import (
     to_edge_list,
 )
 from sgeo import graph as graph_module
-from sgeo.graph import MAX_VERTICES, Graph, bfs_levels, iter_bits, path_defect
+from sgeo.graph import MAX_VERTICES, Geodesics, Graph, bfs_levels, iter_bits, path_defect
 
 
 def brute_force_shortest_paths(g, u, v):
@@ -564,3 +564,26 @@ class TestDiameter:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
             diameter(g)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: graph_from_edges(3, [(0, 5)]), IndexOutOfRange,
+         "edge (0,5) out of range for 3 vertices"),
+        (lambda: graph_from_edges(3, [(1, 1)]), ParseError, "self-loop at vertex 1"),
+        (lambda: complete_bipartite(0, 3), ParseError, "both sides must be nonempty"),
+        (lambda: diameter(graph_from_edges(0, [])), Disconnected, "empty graph"),
+        (lambda: Geodesics(hypercube(2)).count(1, 1), ValueError, "endpoints must differ"),
+        (lambda: from_edge_list("p 3\n"), ParseError,
+         "line 1: header must be 'p <vertices> <edges>'"),
+        (lambda: from_edge_list("p -1 0\n"), ParseError, "line 1: negative header field"),
+        (lambda: from_edge_list("c only\n"), ParseError, "missing 'p' header line"),
+    ],
+    ids=["edge-range", "self-loop", "empty-side", "empty-diameter", "same-endpoints",
+         "short-header", "negative-header", "no-header"],
+)
+def test_argument_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

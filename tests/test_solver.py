@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -184,6 +185,18 @@ class TestExactProperties:
         monkeypatch.setattr(graph, "bfs_levels", counted)
         sg_exact(g)
         assert len(sources) == g.n
+
+    def test_leaves_no_cyclic_garbage(self):
+        # Every table of a call is freed on return, without waiting for
+        # the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                sg_exact(crown(6))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_random_pool(self):
         # The exact_random benchmark's 90 graphs on 14 to 18 vertices, each

@@ -122,6 +122,17 @@ class TestVerifyWitness:
         with pytest.raises(MalformedWitness):
             verify_witness(Q3, Witness((0, 99), ()))
 
+    @pytest.mark.parametrize(
+        "sel, error, message",
+        [([], ValueError, "vertex set must be nonempty"),
+         ([0, 9], MalformedWitness, "vertex 9 not in graph")],
+        ids=["empty", "foreign"],
+    )
+    def test_decision_rejects_bad_sets(self, sel, error, message):
+        with pytest.raises(error) as exc:
+            is_strong_geodetic_set(hypercube(2), sel)
+        assert exc.type is error and str(exc.value) == message
+
     def test_json_round_trip(self):
         w = make_witness(FIG_SET, FIG_PATHS)
         doc = json.loads(json.dumps(witness_to_dict(w)))
