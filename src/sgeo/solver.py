@@ -33,12 +33,12 @@ vertices, its path budget.  The start size is the smallest t whose
 budget reaches n with every distance set to the diameter d.  The walk
 carries each set's budget, closure and, per vertex x, its span, the sum
 of d(u, x) - 1 over the taken u, and reach, the union of their I(u, x).
-One rule adds every vertex, the forced ones first: x adds 1 + span[x]
-to the budget and reach[x] to the closure.  The walk skips every set
-whose budget is below n, and every branch whose best completion is:
-each vertex still to come adds 1 plus one of the largest spans after
-the last chosen vertex, and d - 1 per pair among them.  Such a set
-cannot cover V, so the search would reject it: no success is skipped.
+One rule adds every vertex, the forced ones first: x adds 1 + span[x] to
+the budget, and x and reach[x] to the closure.  The walk skips every set
+whose budget is below n, and every branch whose best completion is: each
+vertex still to come adds 1 plus one of the largest spans after the last
+chosen vertex, and d - 1 per pair among them.  Such a set cannot cover
+V, so the search would reject it: no success is skipped.
 
 Twins (equal open or closed neighbourhoods) swap by a transposition,
 an automorphism, so a twin class contributes its smallest members
