@@ -40,6 +40,20 @@ vertex still to come adds 1 plus one of the largest spans after the last
 chosen vertex, and d - 1 per pair among them.  Such a set cannot cover
 V, so the search would reject it: no success is skipped.
 
+A closure look-ahead cuts a branch that no remaining pair can complete.
+Every set through w is the taken set, w and some F of vertices after w,
+so its I[S] lies within closure | later[w] | pairs[w]: pairs[u] is the
+union of I(x, y) over u <= x < y, a table of the graph, and later[j] the
+union of reach[x] over x >= j, built once per node the first time a w
+leaves a vertex outside closure | reach[w] | pairs[w].  If that bound
+misses a vertex, no set through w passes the closure filter.  The bound
+only shrinks as w grows, so no set through a later w passes either, and
+the loop breaks.  The filter would reject every set cut, so the same
+sets still reach the search in the same order.  The cut runs where at
+least two vertices are still to come after w, before the budget
+look-ahead: next to the last vertex, building later costs more than it
+saves.
+
 Twins (equal open or closed neighbourhoods) swap by a transposition,
 an automorphism, so a twin class contributes its smallest members
 first: a set holding a twin but not its next smaller twin is skipped.
@@ -53,6 +67,7 @@ witnesses stay the same.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 from operator import add, and_, or_
 from typing import Iterator
 
@@ -124,11 +139,16 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     # rows[w][u] is the union of the interval I(u, w): level a from u met
     # with level d(u, w) - a from w.  The levels are disjoint, so their
     # sum is their union.
+    # pairs[u] is the union of I(x, y) over u <= x < y.
     rows = [[0] * g.n for _ in range(g.n)]
-    for u in range(g.n):
+    pairs = [0] * (g.n + 1)
+    for u in reversed(range(g.n)):
+        union = pairs[u + 1]
         for w in range(u + 1, g.n):
             e = dist[u][w]
             rows[u][w] = rows[w][u] = sum(map(and_, levels[u][:e + 1], levels[w][e::-1]))
+            union |= rows[u][w]
+        pairs[u] = union
 
     forced = forced_vertices(g)
     # In a complete graph geodesics are single edges and cover nothing
@@ -156,11 +176,21 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
         # Besides w, the vertices still to come add at most 1 each, their
         # largest spans (top), and d - 1 per pair of them.
         rest = more + more * (more - 1) // 2 * (d - 1)
+        later: list[int] = []
         for w in range(i, g.n - more):
             if taken >> w & 1 or need[w] & ~taken:
                 continue
             size = budget + 1 + span[w]
             if more > 1:
+                # Closure look-ahead: a vertex that no set through w can
+                # cover rules out w and every later w.
+                miss = full & ~(closure | reach[w] | pairs[w])
+                if miss:
+                    if not later:
+                        # later[j] is the union of reach[x] over x >= j.
+                        later = list(accumulate(reach[::-1], or_))[::-1]
+                    if miss & ~later[w + 1]:
+                        break
                 top = sum(sorted(map(add, span[w + 1:], gaps[w][w + 1:]))[-more:])
             else:
                 # The last vertex x adds its span plus d(w, x) - 1 <= d - 1.

@@ -16,10 +16,10 @@ never lists a pair's geodesics: each pair keeps a chain of vertices its
 path must pass and can still cover every vertex of the intervals
 between consecutive chain vertices, read off a ``_PairCache``: the
 graph's ``Geodesics``, which the exact solver shares, plus a segment
-table.  The search branches on uncovered
-vertices, each option a pair that inserts the vertex into its chain, and
-the witness path of each pair is the lexicographically first geodesic
-through its final chain.
+table that the search reads directly and asks to fill only on a miss.
+The search branches on uncovered vertices, each option a pair that
+inserts the vertex into its chain, and the witness path of each pair is
+the lexicographically first geodesic through its final chain.
 """
 
 from __future__ import annotations
@@ -195,18 +195,24 @@ class _PairCache(Geodesics):
     """A graph's geodesic DAGs plus its segment table, filled on first
     use: for the ordered pair (a, b), the a-b interval by level from a,
     its union, and its forced part, the union of the levels that hold
-    one vertex, which every a-b geodesic passes."""
+    one vertex, which every a-b geodesic passes.
+
+    ``segments`` is keyed by the int a * n + b and holds only the pairs
+    filled so far, so it never takes memory in proportion to n^2: the
+    decision takes graphs of up to ``graph.MAX_VERTICES`` vertices.  ``get``
+    fills an entry; ``_search`` reads filled ones by subscript."""
 
     def __init__(self, g: Graph):
         super().__init__(g)
-        self.segments: dict[tuple[int, int], tuple[list[int], int, int]] = {}
+        self.segments: dict[int, tuple[list[int], int, int]] = {}
 
     def get(self, a: int, b: int) -> tuple[list[int], int, int]:
-        entry = self.segments.get((a, b))
+        key = a * self.g.n + b
+        entry = self.segments.get(key)
         if entry is None:
             levels = self.interval(a, b)
             forced = sum(level for level in levels if not level & (level - 1))
-            entry = self.segments[a, b] = (levels, sum(levels), forced)
+            entry = self.segments[key] = (levels, sum(levels), forced)
         return entry
 
 
@@ -226,10 +232,12 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     A pair's witness path is the lexicographically first geodesic through
     its final chain, built segment by segment.
     """
-    full = (1 << g.n) - 1
+    n = g.n
+    full = (1 << n) - 1
     pairs = list(combinations(sel, 2))
-    get = cache.get
-    entries = [get(u, v) for u, v in pairs]
+    # Every segment of every chain is in seg; get is called only to fill one.
+    seg, get = cache.segments, cache.get
+    entries = [seg.get(u * n + v) or get(u, v) for u, v in pairs]
     covered = sum(1 << v for v in sel)
     for _, _, forced in entries:
         covered |= forced
@@ -265,13 +273,13 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
                 continue
             chain = chains[i]
             j = 1
-            while not get(chain[j - 1], chain[j])[1] & bit:
+            while not seg[chain[j - 1] * n + chain[j]][1] & bit:
                 j += 1
             a, b = chain[j - 1], chain[j]
-            _, left, left_forced = get(a, x)
-            _, right, right_forced = get(x, b)
+            _, left, left_forced = seg.get(a * n + x) or get(a, x)
+            _, right, right_forced = seg.get(x * n + b) or get(x, b)
             chains[i] = chain[:j] + (x,) + chain[j:]
-            reaches[i] = reach & ~get(a, b)[1] | left | right
+            reaches[i] = reach & ~seg[a * n + b][1] | left | right
             if rec(covered | left_forced | right_forced):
                 return True
             chains[i] = chain
@@ -291,7 +299,7 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     for chain in chains:
         path = [chain[0]]
         for a, b in zip(chain, chain[1:]):
-            for level in get(a, b)[0][1:]:
+            for level in seg[a * n + b][0][1:]:
                 step = adj[path[-1]] & level
                 path.append((step & -step).bit_length() - 1)
         paths.append(path)

@@ -432,6 +432,43 @@ def leaves_on_k2m(m):
     return graph_from_edges(m + 6, edges)
 
 
+def brute_force_decided_sets(g):
+    """The sets sg_exact must decide, in order: for each size from 1 up,
+    every subset in lex order that holds the forced vertices and passes
+    the path budget, the twin rule and closure = V, up to the first one
+    the search accepts."""
+    n = g.n
+    geo = Geodesics(g)
+    dist = [geo.dag(u)[1] for u in range(n)]
+    interval = {
+        (u, v): {x for x in range(n) if dist[u][x] + dist[x][v] == dist[u][v]}
+        for u, v in combinations(range(n), 2)
+    }
+    # Each vertex's largest smaller twin by open and by closed neighbourhood.
+    smaller = [set() for _ in range(n)]
+    for nbhd in ([g.adj[x] for x in range(n)], [g.adj[x] | 1 << x for x in range(n)]):
+        for v in range(n):
+            twins = [u for u in range(v) if nbhd[u] == nbhd[v]]
+            smaller[v].update(twins[-1:])
+    forced = forced_vertices(g)
+    cache = _PairCache(g)
+    decided = []
+    for t in range(1, n + 1):
+        for sel in combinations(range(n), t):
+            held = set(sel)
+            pairs = list(combinations(sel, 2))
+            if (
+                forced <= held
+                and t + sum(dist[u][v] - 1 for u, v in pairs) >= n
+                and all(smaller[v] <= held for v in sel)
+                and len(held.union(*(interval[p] for p in pairs))) == n
+            ):
+                decided.append(list(sel))
+                if _search(g, list(sel), cache) is not None:
+                    return decided
+    raise AssertionError("search must succeed at t = |V|")
+
+
 class TestPathBudget:
     @pytest.mark.parametrize("name", AGREEMENT)
     def test_sets_under_budget_fail(self, name):
@@ -464,6 +501,13 @@ class TestPathBudget:
         g = AGREEMENT[name] if name in AGREEMENT else leaves_on_k2m(12)
         decided = self.decided_sets(monkeypatch, g)
         assert decided and all(path_budget(g, sel) >= g.n for sel in decided)
+
+    @pytest.mark.parametrize("name", [*{**AGREEMENT, **SYMMETRIC}, "leaves on K(2,12)"])
+    def test_decided_sets_match_brute_force(self, monkeypatch, name):
+        # The walk's cuts may only drop sets that its filters reject.
+        graphs = {**AGREEMENT, **SYMMETRIC, "leaves on K(2,12)": leaves_on_k2m(12)}
+        g = graphs[name]
+        assert self.decided_sets(monkeypatch, g) == brute_force_decided_sets(g)
 
     @pytest.mark.parametrize(
         "g, decisions", [(hypercube(4), 1), (crown(8), 81)], ids=["Q4", "crown8"]

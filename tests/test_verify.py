@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -371,6 +372,21 @@ class TestDecision:
         w = is_strong_geodetic_set(g, [0, 3, 4])
         assert w is not None and verify_witness(g, w).covered
         assert is_strong_geodetic_set(g, [0, 4, 5]) is None
+
+
+def test_decision_allocates_nothing_quadratic():
+    # A 4,096-vertex path: one table slot per ordered pair of vertices
+    # would take about 128 MB of pointers before the search starts.
+    n = 4096
+    g = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        w = is_strong_geodetic_set(g, [0, n - 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and w.assignment[0].path == tuple(range(n))
+    assert peak < 32 << 20
 
 
 def pool_graph(graph_id):
