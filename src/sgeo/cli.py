@@ -131,14 +131,14 @@ def cmd_construct(args) -> int:
     if args.family != "hypercube" and (args.n0 is not None or args.improved):
         raise SgeoError("--n0 and --improved apply to construct hypercube only")
     params = _params(args)
-    build = {"kbipartite": construct.build_bipartite_witness, "crown": construct.build_crown_witness}
     if args.family == "hypercube":
-        n = params[0]
-        params = [n, args.n0 if args.n0 is not None else (n + 2) // 2]
-        build[args.family] = (
-            construct.build_hypercube_improved if args.improved else construct.build_hypercube_basic
-        )
-    built = build[args.family](*params)
+        build = construct.build_hypercube_improved if args.improved else construct.build_hypercube_basic
+        params = [params[0], (params[0] + 2) // 2 if args.n0 is None else args.n0]
+    elif args.family == "crown":
+        build = construct.build_crown_witness
+    else:
+        build = construct.build_bipartite_witness
+    built = build(*params)
 
     doc = {
         "witness": verify.witness_to_dict(built.witness),

@@ -8,7 +8,7 @@ adjacency rows, since a crown is K(n,n) less a perfect matching.  Both
 hypercube builders are one router over the two-block template (a spread
 of suffix-zero vertices plus a top sub-block): the basic witness is the
 template with nothing removed, and the improved one thins the top block
-along a family of internally disjoint diagonal paths.
+as ``_thinning`` describes.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ MAX_WITNESS_PAIRS = 1 << 18
 
 class HypercubeConstructionPlan(NamedTuple):
     """Ingredients of a hypercube witness: the spread P, the top block Q,
-    the removed set F, and the diagonal path system.  The paths share
-    their start (in F) and their end (in Q); each path's last interior
-    vertex and all but the first path's second-to-last one stay in Q."""
+    and the removed set F and diagonal path system of ``_thinning``."""
 
     n: int
     n0: int
@@ -200,65 +198,49 @@ def build_hypercube_basic(n: int, n0: int) -> ConstructionResult:
     return _two_block(n, n0, improved=False)
 
 
-def _boundary_chains(d: int, seqs: list[list[int]]) -> dict[int, tuple[list[int], int]]:
-    """Flip chain and boundary-crossing index of each suffix whose route
-    differs from its canonical chain crossing at its end.
+def _thinning(d: int) -> tuple[list[int], dict[int, tuple[list[int], int]], list[list[int]]]:
+    """Removed suffixes, boundary chains and diagonal paths of the thinned
+    top block, whose suffixes have width d.
 
-    Early crossings along the diagonal paths put the thinned interiors
-    on the far side of the block boundary for every prefix line; near
-    sides come from the end-crossing chains of the other suffixes.  The
-    first path's chain crosses at index 0, so each spread vertex pv steps
-    straight to pv|mid: these far-side vertices of suffix 0 were covered
-    by the routes to the block anchor, which the thinning removes, and
+    Path i runs from 0 to the all-ones suffix (1 << d) - 1, flipping
+    string positions in cyclic rotation from i, so the d paths are
+    internally disjoint geodesics.  The thinning removes every vertex of
+    the paths, their common start 0 included, except their common end
+    and the suffixes that get a boundary chain: every path's last
+    interior vertex and all but the first path's second-to-last, so
+    (d - 1)(d - 2) suffixes go in all.
+
+    A boundary chain is a suffix's flip chain with the index after which
+    its routes cross the block boundary.  The early crossings put the
+    removed interiors on the far side of the boundary for every prefix
+    line; near sides come from the end-crossing chains of the other
+    suffixes.  The first path's chain crosses at index 0, so each spread
+    vertex pv steps straight to pv|mid: these far-side vertices of
+    suffix 0 were covered by the routes to the removed block anchor, and
     the all-ones spread vertex steps to the anchor itself.  That path is
     the canonical chain of the all-ones suffix, which still crosses at
     its end, so its near side stays covered.
     """
+    seqs = []
+    for i in range(d):
+        c, seq = 0, [0]
+        for t in range(d):
+            c |= 1 << (d - 1 - (i + t) % d)
+            seq.append(c)
+        seqs.append(seq)
+    for a, b in combinations(seqs, 2):
+        assert not set(a[1:-1]) & set(b[1:-1]), "diagonal paths must be disjoint"
     chains = {seqs[0][d - 1]: (seqs[0][:d], 0)}
     for seq in seqs[1:]:
         chains[seq[d - 1]] = (seq[:d], d - 1)
         chains[seq[d - 2]] = (seq[: d - 1], 1)
-    return chains
-
-
-def _diagonal_paths(d: int) -> list[list[int]]:
-    """d internally disjoint geodesics from 0 to the all-ones suffix of
-    width d; path i flips string positions in cyclic rotation from i."""
-    seqs = []
-    for i in range(d):
-        order = [(i + t) % d for t in range(d)]
-        c = 0
-        seq = [0]
-        for pos in order:
-            c |= 1 << (d - 1 - pos)
-            seq.append(c)
-        seqs.append(seq)
-    interiors = [set(seq[1:-1]) for seq in seqs]
-    for a, b in combinations(range(d), 2):
-        assert not interiors[a] & interiors[b], "diagonal paths must be disjoint"
-    return seqs
-
-
-def _thinning(d: int) -> tuple[list[int], dict, list[list[int]]]:
-    """Removed suffixes, boundary chains and diagonal paths of the thinned
-    block: the d diagonal paths go, their common start 0 included, keeping
-    their common end, every path's last interior vertex and all but the
-    first path's second-to-last, (d - 1)(d - 2) suffixes in all."""
-    seqs = _diagonal_paths(d)
-    kept = {(1 << d) - 1} | {seq[d - 1] for seq in seqs} | {seq[d - 2] for seq in seqs[1:]}
-    removed = sorted({c for seq in seqs for c in seq} - kept)
-    return removed, _boundary_chains(d, seqs), seqs
+    removed = sorted({c for seq in seqs for c in seq} - {(1 << d) - 1} - chains.keys())
+    return removed, chains, seqs
 
 
 def build_hypercube_improved(n: int, n0: int) -> ConstructionResult:
-    """Thinned two-block witness: the basic template less the start and
-    deep interior of a family of disjoint diagonal paths in the top block,
-    (n0 - 2)(n0 - 3) vertices, so it has the formula's target size.
-
-    Removing suffixes from the block loses their boundary routes, so
-    chains along the diagonal paths cross the block boundary early
-    (covering the removed suffixes on the far side); all others cross
-    at their endpoint.  The report carries the formula target and the
-    achieved size.
-    """
+    """Thinned two-block witness: the basic template less the
+    (n0 - 2)(n0 - 3) top-block vertices that ``_thinning`` removes, so it
+    has the formula's target size, which the report carries with the
+    achieved size."""
     return _two_block(n, n0, improved=True)

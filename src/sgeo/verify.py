@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .errors import Disconnected, MalformedWitness
-from .graph import Geodesics, Graph, Path, bfs_levels, is_connected, path_defect
+from .graph import Geodesics, Graph, Path, bfs_levels, path_defect
 
 
 class PairGeodesic(NamedTuple):
@@ -198,9 +198,10 @@ class _PairCache(Geodesics):
     one vertex, which every a-b geodesic passes.
 
     ``segments`` is keyed by the int a * n + b and holds only the pairs
-    filled so far, so it never takes memory in proportion to n^2: the
-    decision takes graphs of up to ``graph.MAX_VERTICES`` vertices.  ``get``
-    fills an entry; ``_search`` reads filled ones by subscript."""
+    filled so far, so it never takes memory in proportion to n^2, and
+    ``_search`` keeps its branch points on its own stack, not Python's:
+    the decision takes graphs of up to ``graph.MAX_VERTICES`` vertices.
+    ``get`` fills an entry; ``_search`` reads filled ones by subscript."""
 
     def __init__(self, g: Graph):
         super().__init__(g)
@@ -244,11 +245,12 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     chains = pairs[:]
     reaches = [union for _, union, _ in entries]
     failed: set[tuple] = set()
-
-    def rec(covered: int) -> bool:
-        need = full & ~covered
-        if not need:
-            return True
+    # One frame per branching node on the path to the current node: its
+    # memo state, whose first field is the covered set, x and its bit, the
+    # pairs that reach x, the index of its next option, and the chain and
+    # reach that its current option replaced.
+    stack: list[tuple] = []
+    while need := full & ~covered:
         # Bit-sliced counters: ones holds the vertices that some pair can
         # still reach, twos those that two or more can.
         ones = twos = 0
@@ -259,41 +261,40 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
                 twos |= ones & reach
                 ones |= reach
                 live.append(i)
-        if ones != need:
-            return False
-        state = (covered, tuple(live), tuple([reaches[i] for i in live]))
-        if state in failed:
-            return False
-        pick = need & ~twos or need
-        bit = pick & -pick
-        x = bit.bit_length() - 1
-        for i in live:
-            reach = reaches[i]
-            if not reach & bit:
-                continue
-            chain = chains[i]
-            j = 1
-            while not seg[chain[j - 1] * n + chain[j]][1] & bit:
-                j += 1
-            a, b = chain[j - 1], chain[j]
-            _, left, left_forced = seg.get(a * n + x) or get(a, x)
-            _, right, right_forced = seg.get(x * n + b) or get(x, b)
-            chains[i] = chain[:j] + (x,) + chain[j:]
-            reaches[i] = reach & ~seg[a * n + b][1] | left | right
-            if rec(covered | left_forced | right_forced):
-                return True
-            chains[i] = chain
-            reaches[i] = reach
-        if len(failed) < (1 << 20):
-            failed.add(state)
-        return False
+        state = (covered, tuple(live), tuple([reaches[i] for i in live])) if ones == need else None
+        if state is None or state in failed:
+            # Undo the top frame's current option and take its next one; a
+            # frame whose options are spent fails its state and is dropped.
+            while stack:
+                state, x, bit, opts, k, chain, reach = stack.pop()
+                i = opts[k - 1]
+                chains[i] = chain
+                reaches[i] = reach
+                if k < len(opts):
+                    break
+                if len(failed) < (1 << 20):
+                    failed.add(state)
+            else:
+                return None
+        else:
+            pick = need & ~twos or need
+            bit = pick & -pick
+            x = bit.bit_length() - 1
+            opts = [i for i in live if reaches[i] & bit]
+            k = 0
+        i = opts[k]
+        chain, reach = chains[i], reaches[i]
+        j = 1
+        while not seg[chain[j - 1] * n + chain[j]][1] & bit:
+            j += 1
+        a, b = chain[j - 1], chain[j]
+        _, left, left_forced = seg.get(a * n + x) or get(a, x)
+        _, right, right_forced = seg.get(x * n + b) or get(x, b)
+        chains[i] = chain[:j] + (x,) + chain[j:]
+        reaches[i] = reach & ~seg[a * n + b][1] | left | right
+        stack.append((state, x, bit, opts, k + 1, chain, reach))
+        covered = state[0] | left_forced | right_forced
 
-    found = rec(covered)
-    # rec holds itself through its closure; dropping it frees the memo now
-    # instead of at the next cyclic garbage collection.
-    del rec
-    if not found:
-        return None
     adj = g.adj
     paths = []
     for chain in chains:
@@ -313,15 +314,20 @@ def is_strong_geodetic_set(g: Graph, vertices) -> Optional[Witness]:
     witness is the first the chain search finds, branching on uncovered
     vertices in ascending order and trying the pairs that reach one in
     combinations order; each pair's path is the lexicographically first
-    geodesic through the vertices the search committed it to.  Raises
-    Disconnected for disconnected graphs.
+    geodesic through the vertices the search committed it to.  The
+    search runs on an explicit stack, so no recursion limit bounds how
+    many vertices it assigns.  Raises ValueError for an empty set, then
+    Disconnected for a disconnected graph, then MalformedWitness for a
+    vertex outside the graph.
     """
     sel = sorted(set(vertices))
     if not sel:
         raise ValueError("vertex set must be nonempty")
-    if not is_connected(g):
+    cache = _PairCache(g)
+    # The DAG from vertex 0 spans its component; the levels are disjoint.
+    if g.n == 0 or sum(cache.dag(0)[0]) < (1 << g.n) - 1:
         raise Disconnected("graph is not connected")
     for v in sel:
         if not 0 <= v < g.n:
             raise MalformedWitness(f"vertex {v} not in graph")
-    return _search(g, sel, _PairCache(g))
+    return _search(g, sel, cache)

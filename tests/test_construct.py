@@ -258,6 +258,12 @@ class TestHypercubeImproved:
         # crosses the boundary at its endpoint (no early crossings along
         # the diagonal paths), so the removed suffixes leave far-side
         # lines uncovered; the builder raises instead of reinserting them.
-        monkeypatch.setattr(construct, "_boundary_chains", lambda d, seqs: {})
+        thinning = construct._thinning
+
+        def without_chains(d):
+            removed, _, seqs = thinning(d)
+            return removed, {}, seqs
+
+        monkeypatch.setattr(construct, "_thinning", without_chains)
         with pytest.raises(AssignmentInfeasible, match="vertices uncovered"):
             build_hypercube_improved(6, 4)

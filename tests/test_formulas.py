@@ -20,6 +20,7 @@ from sgeo import (
     sg_crown,
     small_hypercube_known,
 )
+from sgeo.intmath import ceil_sqrt_ratio, is_perfect_square
 
 TABLE_LOWER = {2: 3, 3: 3, 4: 4, 5: 4, 6: 6, 7: 7, 8: 9, 9: 12, 10: 16,
                11: 21, 12: 28, 13: 37, 14: 51, 15: 69}
@@ -275,10 +276,18 @@ class TestHypercubeBounds:
         (lambda: sg_complete_bipartite(0, 3), OutOfRange, "side sizes must be positive"),
         (lambda: hypercube_upper_basic(0), OutOfRange, "upper bound needs n >= 1, got 0"),
         (lambda: CrownSplit(1, 3), ValueError, "split sides must differ by at most 1"),
+        (lambda: ceil_sqrt_ratio(1, 4, 0), ValueError, "b must be positive"),
+        (lambda: ceil_sqrt_ratio(1, -4, 2), ValueError, "disc must be nonnegative"),
     ],
-    ids=["g_val", "sg_complete_bipartite", "hypercube_upper_basic", "crown-split"],
+    ids=["g_val", "sg_complete_bipartite", "hypercube_upper_basic", "crown-split",
+         "ceil_sqrt_ratio-b", "ceil_sqrt_ratio-disc"],
 )
 def test_argument_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("x, square", [(-4, False), (-1, False), (0, True), (15, False), (16, True)])
+def test_is_perfect_square(x, square):
+    assert is_perfect_square(x) is square

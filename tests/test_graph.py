@@ -413,6 +413,8 @@ class TestGraphRows:
     def test_families_pass_the_checks(self, g):
         checked = Graph(g.n, g.adj, g.family)
         assert checked == g and checked.family == g.family
+        # Equal graphs hash alike; a graph never equals its bare rows.
+        assert hash(checked) == hash(g) and g != g.adj
 
     @pytest.mark.parametrize("seed", range(12))
     def test_edge_lists_pass_the_checks(self, seed):

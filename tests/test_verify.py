@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -123,15 +124,19 @@ class TestVerifyWitness:
         with pytest.raises(MalformedWitness):
             verify_witness(Q3, Witness((0, 99), ()))
 
+    # An empty set is checked first, then connectivity, then the vertices.
     @pytest.mark.parametrize(
-        "sel, error, message",
-        [([], ValueError, "vertex set must be nonempty"),
-         ([0, 9], MalformedWitness, "vertex 9 not in graph")],
-        ids=["empty", "foreign"],
+        "g, sel, error, message",
+        [(hypercube(2), [], ValueError, "vertex set must be nonempty"),
+         (hypercube(2), [0, 9], MalformedWitness, "vertex 9 not in graph"),
+         (graph_from_edges(0, []), [], ValueError, "vertex set must be nonempty"),
+         (graph_from_edges(0, []), [0], Disconnected, "graph is not connected"),
+         (graph_from_edges(4, [(0, 1), (2, 3)]), [0, 9], Disconnected, "graph is not connected")],
+        ids=["empty", "foreign", "empty-set-of-empty-graph", "empty-graph", "disconnected-and-foreign"],
     )
-    def test_decision_rejects_bad_sets(self, sel, error, message):
+    def test_decision_rejects_bad_sets(self, g, sel, error, message):
         with pytest.raises(error) as exc:
-            is_strong_geodetic_set(hypercube(2), sel)
+            is_strong_geodetic_set(g, sel)
         assert exc.type is error and str(exc.value) == message
 
     def test_json_round_trip(self):
@@ -364,6 +369,26 @@ class TestDecision:
         for a in w.assignment:
             d = distances_from(Q3, a.u)[a.v]
             assert len(a.path) - 1 == d
+
+    def test_crown_600_optimal_set(self):
+        # 1,200 vertices: the search branches 1,132 levels deep, past
+        # Python's default recursion limit of 1,000.
+        g = crown(600)
+        w = is_strong_geodetic_set(g, construct.build_crown_witness(600).witness.vertices)
+        assert w is not None and verify_witness(g, w).covered
+
+    def test_leaves_no_cyclic_garbage(self):
+        # The search state is freed on return, without waiting for the
+        # cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            for sel in [FIG_SET, [0, 1, 2], [0, 3, 5, 6]]:
+                is_strong_geodetic_set(Q3, sel)
+            is_strong_geodetic_set(crown(6), [0, 1, 6, 7])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_crown_split_example(self):
         # The (1, 2) split needs the matched pair: its length-3 geodesic
