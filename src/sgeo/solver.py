@@ -212,7 +212,7 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     state = reduce(grow, forced, (0, 0, 0, [0] * g.n, [0] * g.n))
     for t in range(start, g.n + 1):
         for sel in walk(0, t - len(forced), state):
-            found = _search(g, sel, cache)
+            found = _search(cache, sel)
             if found is not None:
                 # walk holds itself through its closure; dropping it frees
                 # its tables now instead of at the next cyclic collection.

@@ -17,9 +17,6 @@ path must pass and can still cover every vertex of the intervals
 between consecutive chain vertices, read off a ``_PairCache``: the
 graph's ``Geodesics``, which the exact solver shares, plus a segment
 table that the search reads directly and asks to fill only on a miss.
-The search branches on uncovered vertices, each option a pair that
-inserts the vertex into its chain, and the witness path of each pair is
-the lexicographically first geodesic through its final chain.
 """
 
 from __future__ import annotations
@@ -191,6 +188,14 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
     return CoverageReport(covered=ok, uncovered_vertices=uncovered, invalid_paths=invalid)
 
 
+# The bytes that a decision's memo of failed states may hold, estimated
+# by charging each stored state n / 8 + 24 bytes (an n-bit int and its
+# pointers) per live pair and once for its covered set.  sg_exact's first
+# size-8 decision on Q6 stores just over 2^20 states under it, about
+# 0.5 GB; no decision of Q5 or of the benchmark graphs comes near it.
+_MEMO_BYTES = 420 << 20
+
+
 class _PairCache(Geodesics):
     """A graph's geodesic DAGs plus its segment table, filled on first
     use: for the ordered pair (a, b), the a-b interval by level from a,
@@ -198,9 +203,8 @@ class _PairCache(Geodesics):
     one vertex, which every a-b geodesic passes.
 
     ``segments`` is keyed by the int a * n + b and holds only the pairs
-    filled so far, so it never takes memory in proportion to n^2, and
-    ``_search`` keeps its branch points on its own stack, not Python's:
-    the decision takes graphs of up to ``graph.MAX_VERTICES`` vertices.
+    filled so far, so it never takes memory in proportion to n^2 and the
+    decision takes graphs of up to ``graph.MAX_VERTICES`` vertices.
     ``get`` fills an entry; ``_search`` reads filled ones by subscript."""
 
     def __init__(self, g: Graph):
@@ -217,23 +221,26 @@ class _PairCache(Geodesics):
         return entry
 
 
-def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
+def _search(cache: _PairCache, sel: list[int]) -> Optional[Witness]:
     """The first witness for the sorted set sel in the search order, or None.
 
     Each pair (u, v) keeps a chain u = c0, ..., ck = v of vertices its
     path must pass, in distance order from u, and reaches the union of
-    the intervals I(c_i, c_i+1): the vertices of the u-v geodesics through
-    the chain.  The search branches on the lowest uncovered vertex x that
-    only one pair reaches, else the lowest (Knuth's Algorithm X, arXiv
-    cs/0011047).  Each pair that reaches x, in combinations order, may
-    insert x into the one segment whose interval holds it, covering the
-    forced parts of the two new segments.  A pair's reach fixes the
-    geodesics it allows, so a failed state is memoised by the covered set
-    and the index and reach of each pair that can still cover something.
-    A pair's witness path is the lexicographically first geodesic through
-    its final chain, built segment by segment.
+    the intervals I(c_i, c_i+1): the vertices of the u-v geodesics
+    through the chain.  The search branches on the lowest uncovered
+    vertex x that only one pair reaches, else the lowest (Knuth's
+    Algorithm X, arXiv cs/0011047).  Each pair that reaches x, in
+    combinations order, may insert x into the one segment whose interval
+    holds it, covering the forced parts of the two new segments.  A
+    pair's reach fixes the geodesics it allows, so a node's state is the
+    covered set and the index and reach of each live pair, one that can
+    still cover something.  A branch node is one stack frame: its state,
+    x's bit, the index among the state's live pairs of the option taken
+    (-1 before the first) and the chain that option replaced.  Failed
+    states are memoised up to ``_MEMO_BYTES``.  A pair's witness path is
+    the lexicographically first geodesic through its final chain.
     """
-    n = g.n
+    n = cache.g.n
     full = (1 << n) - 1
     pairs = list(combinations(sel, 2))
     # Every segment of every chain is in seg; get is called only to fill one.
@@ -245,45 +252,46 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
     chains = pairs[:]
     reaches = [union for _, union, _ in entries]
     failed: set[tuple] = set()
-    # One frame per branching node on the path to the current node: its
-    # memo state, whose first field is the covered set, x and its bit, the
-    # pairs that reach x, the index of its next option, and the chain and
-    # reach that its current option replaced.
+    stored = 0  # the estimated bytes of the states in failed
     stack: list[tuple] = []
+    live = range(len(pairs))
     while need := full & ~covered:
-        # Bit-sliced counters: ones holds the vertices that some pair can
-        # still reach, twos those that two or more can.
+        # Bit-sliced counters over the parent's live pairs, as an option only
+        # shrinks reach: ones holds the vertices that some pair can still
+        # reach, twos those that two or more can.
         ones = twos = 0
-        live = []
-        for i, reach in enumerate(reaches):
-            reach &= need
+        parent, live = live, []
+        for i in parent:
+            reach = reaches[i] & need
             if reach:
                 twos |= ones & reach
                 ones |= reach
                 live.append(i)
-        state = (covered, tuple(live), tuple([reaches[i] for i in live])) if ones == need else None
-        if state is None or state in failed:
-            # Undo the top frame's current option and take its next one; a
-            # frame whose options are spent fails its state and is dropped.
-            while stack:
-                state, x, bit, opts, k, chain, reach = stack.pop()
-                i = opts[k - 1]
-                chains[i] = chain
-                reaches[i] = reach
-                if k < len(opts):
-                    break
-                if len(failed) < (1 << 20):
-                    failed.add(state)
-            else:
-                return None
+        if ones == need:
+            state = (covered, tuple(live), tuple([reaches[i] for i in live]))
+            if state not in failed:
+                pick = need & ~twos or need
+                stack.append((state, pick & -pick, -1, None))
+        # Undo the top frame's option and take its next one; a frame with
+        # no option left fails its state and is dropped.
+        while stack:
+            state, bit, k, chain = stack.pop()
+            _, live, held = state
+            if k >= 0:
+                chains[live[k]] = chain
+                reaches[live[k]] = held[k]
+            k += 1
+            while k < len(held) and not held[k] & bit:
+                k += 1
+            if k < len(held):
+                break
+            if stored < _MEMO_BYTES:
+                failed.add(state)
+                stored += (len(live) + 1) * (n // 8 + 24)
         else:
-            pick = need & ~twos or need
-            bit = pick & -pick
-            x = bit.bit_length() - 1
-            opts = [i for i in live if reaches[i] & bit]
-            k = 0
-        i = opts[k]
-        chain, reach = chains[i], reaches[i]
+            return None
+        i = live[k]
+        chain, x = chains[i], bit.bit_length() - 1
         j = 1
         while not seg[chain[j - 1] * n + chain[j]][1] & bit:
             j += 1
@@ -291,11 +299,11 @@ def _search(g: Graph, sel: list[int], cache: _PairCache) -> Optional[Witness]:
         _, left, left_forced = seg.get(a * n + x) or get(a, x)
         _, right, right_forced = seg.get(x * n + b) or get(x, b)
         chains[i] = chain[:j] + (x,) + chain[j:]
-        reaches[i] = reach & ~seg[a * n + b][1] | left | right
-        stack.append((state, x, bit, opts, k + 1, chain, reach))
+        reaches[i] = held[k] & ~seg[a * n + b][1] | left | right
+        stack.append((state, bit, k, chain))
         covered = state[0] | left_forced | right_forced
 
-    adj = g.adj
+    adj = cache.g.adj
     paths = []
     for chain in chains:
         path = [chain[0]]
@@ -311,14 +319,12 @@ def is_strong_geodetic_set(g: Graph, vertices) -> Optional[Witness]:
     """Search for a covering geodesic assignment over the given set.
 
     Returns a witness, or None when no assignment covers the graph.  The
-    witness is the first the chain search finds, branching on uncovered
-    vertices in ascending order and trying the pairs that reach one in
-    combinations order; each pair's path is the lexicographically first
-    geodesic through the vertices the search committed it to.  The
-    search runs on an explicit stack, so no recursion limit bounds how
-    many vertices it assigns.  Raises ValueError for an empty set, then
-    Disconnected for a disconnected graph, then MalformedWitness for a
-    vertex outside the graph.
+    witness is the first the chain search ``_search`` finds; each pair's
+    path is the lexicographically first geodesic through the vertices the
+    search committed it to.  The search runs on an explicit stack, so no
+    recursion limit bounds how many vertices it assigns.  Raises
+    ValueError for an empty set, then Disconnected for a disconnected
+    graph, then MalformedWitness for a vertex outside the graph.
     """
     sel = sorted(set(vertices))
     if not sel:
@@ -330,4 +336,4 @@ def is_strong_geodetic_set(g: Graph, vertices) -> Optional[Witness]:
     for v in sel:
         if not 0 <= v < g.n:
             raise MalformedWitness(f"vertex {v} not in graph")
-    return _search(g, sel, cache)
+    return _search(cache, sel)

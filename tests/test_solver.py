@@ -25,10 +25,11 @@ from sgeo import (
     sg_exact,
     verify_witness,
 )
-from sgeo import graph, solver
+from sgeo import graph, solver, verify
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
 from sgeo.verify import _PairCache, _search, make_witness
+import test_golden
 from test_golden import benchmark_graphs
 
 
@@ -241,7 +242,7 @@ def reference_exact(g, rejected):
             closure = sum(1 << v for v in sel)
             for u, v in combinations(sel, 2):
                 closure |= sum(geo.interval(u, v))
-            w = _search(g, sel, cache)
+            w = _search(cache, sel)
             if closure != (1 << g.n) - 1:
                 rejected.append(w)
             if w is not None:
@@ -403,7 +404,7 @@ class TestDecide:
         for t in range(1, 6):
             for sel in combinations(range(g.n), t):
                 sel = list(sel)
-                w = _search(g, sel, cache)
+                w = _search(cache, sel)
                 assert (w is not None) == brute_force_strong(g, sel), sel
                 if w is not None:
                     assert w.vertices == tuple(sel)
@@ -411,9 +412,9 @@ class TestDecide:
 
     def test_single_vertex(self):
         g = hypercube(0)
-        assert _search(g, [0], _PairCache(g)) == make_witness([0], {})
+        assert _search(_PairCache(g), [0]) == make_witness([0], {})
         g = path_graph(2)
-        assert _search(g, [0], _PairCache(g)) is None
+        assert _search(_PairCache(g), [0]) is None
 
 
 def path_budget(g, sel):
@@ -464,7 +465,7 @@ def brute_force_decided_sets(g):
                 and len(held.union(*(interval[p] for p in pairs))) == n
             ):
                 decided.append(list(sel))
-                if _search(g, list(sel), cache) is not None:
+                if _search(cache, list(sel)) is not None:
                     return decided
     raise AssertionError("search must succeed at t = |V|")
 
@@ -479,16 +480,16 @@ class TestPathBudget:
         for t in range(1, 6):
             for sel in combinations(range(g.n), t):
                 if path_budget(g, sel) < g.n:
-                    assert _search(g, list(sel), cache) is None, sel
+                    assert _search(cache, list(sel)) is None, sel
 
     @staticmethod
     def decided_sets(monkeypatch, g):
         decided = []
         real = solver._search
 
-        def counted(h, sel, cache):
+        def counted(cache, sel):
             decided.append(sel)
-            return real(h, sel, cache)
+            return real(cache, sel)
 
         monkeypatch.setattr(solver, "_search", counted)
         sg_exact(g)
@@ -526,3 +527,22 @@ class TestPathBudget:
         assert len(decided) == 695
         digest = hashlib.sha256(json.dumps(decided).encode()).hexdigest()
         assert digest == "af7ebd8773dd253dc1b6fa7f2b7eb12d6fce9195f659f0e4f2bd31cb3c1d6052"
+
+
+class TestMemoOnlyPrunes:
+    """With no room for a failed state the search must decide every set,
+    and build every witness, exactly as it does with its memo."""
+
+    @pytest.fixture(autouse=True)
+    def no_memo(self, monkeypatch):
+        monkeypatch.setattr(verify, "_MEMO_BYTES", 0)
+
+    @pytest.mark.parametrize("name", AGREEMENT)
+    def test_agrees_with_pair_order_search(self, name):
+        TestDecide().test_agrees_with_pair_order_search(name)
+
+    def test_decided_sets_of_the_benchmark_graphs(self, monkeypatch):
+        TestPathBudget().test_decided_sets_of_the_benchmark_graphs(monkeypatch)
+
+    def test_exact_benchmark_graphs(self, capsys, tmp_path):
+        test_golden.test_exact_benchmark_graphs(capsys, tmp_path)

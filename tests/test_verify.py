@@ -398,6 +398,26 @@ class TestDecision:
         assert w is not None and verify_witness(g, w).covered
         assert is_strong_geodetic_set(g, [0, 4, 5]) is None
 
+    def test_memo_is_bounded_in_bytes(self, monkeypatch):
+        # This Q5 decision fails 33,859 states.  Under a 64 KiB bound the
+        # memo stores them only until their estimated bytes, n / 8 + 24
+        # per live pair and once more for the covered set, reach it.
+        memos = []
+
+        class Memo(set):
+            def __init__(self, *items):
+                super().__init__(*items)
+                if not items:
+                    memos.append(self)
+
+        monkeypatch.setattr(verify, "set", Memo, raising=False)
+        monkeypatch.setattr(verify, "_MEMO_BYTES", 1 << 16)
+        g = hypercube(5)
+        assert is_strong_geodetic_set(g, [0, 1, 2, 4, 27, 31]) is None
+        [memo] = memos
+        charges = [(len(live) + 1) * (g.n // 8 + 24) for _, live, _ in memo]
+        assert sum(charges) - max(charges) < 1 << 16 <= sum(charges)
+
 
 def test_decision_allocates_nothing_quadratic():
     # A 4,096-vertex path: one table slot per ordered pair of vertices
