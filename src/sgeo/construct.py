@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import AssignmentInfeasible, OutOfRange
-from .formulas import f_val, g_val, sg_bipartite_closed, sg_bipartite_opt, sg_crown
+from .formulas import sg_bipartite_closed, sg_bipartite_opt, sg_crown
 from .formulas import hypercube_upper_basic_at, hypercube_upper_improved_at
 from .graph import Graph, Path, complete_bipartite, crown, hypercube, iter_bits
 from .verify import CoverageReport, Witness, make_witness, verify_witness
@@ -131,8 +131,7 @@ def build_bipartite_witness(n: int, m: int) -> ConstructionResult:
     # The closed form's value is k + l; checked before the O(n) sweep.
     _check_pairs(sg_bipartite_closed(n, m).value)
     opt = sg_bipartite_opt(n, m)
-    k = opt.trace.k_star
-    l = max(f_val(n, k), g_val(m, k))
+    k, l = opt.trace.k_star, max(opt.trace.f_at, opt.trace.g_at)
     return _two_side(complete_bipartite(n, m), list(range(k)) + list(range(n, n + l)), opt.value)
 
 

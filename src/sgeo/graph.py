@@ -314,8 +314,7 @@ def distances_from(g: Graph, u: int) -> list[Optional[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    # Levels are disjoint, so their sum is the component of vertex 0.
-    return g.n > 0 and sum(bfs_levels(g, 0)) == (1 << g.n) - 1
+    return Geodesics(g).connected()
 
 
 class Geodesics:
@@ -341,6 +340,10 @@ class Geodesics:
                     dist[w] = k
             dag = self.dags[u] = (levels, dist)
         return dag
+
+    def connected(self) -> bool:
+        """Nonempty, and the disjoint levels from vertex 0 sum to every vertex."""
+        return self.g.n > 0 and sum(self.dag(0)[0]) == (1 << self.g.n) - 1
 
     def count(self, u: int, v: int) -> int:
         """Number of u-v geodesics, u != v; raises Unreachable when none.

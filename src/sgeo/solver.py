@@ -17,9 +17,7 @@ once otherwise.  One ``verify._PairCache`` per call holds the graph's
 geodesic DAGs, which give connectivity, the distances and the
 diameter; each closure row, the interval I(u, w), is read off the
 levels of the DAGs of u and w, and the search shares the object and
-alone fills its segment table.  A node with one vertex left to add gets
-no call of its own: its parent's loop picks that last vertex, in the
-same order, by the budget, twin and closure tests below.
+alone fills its segment table.
 
 A simplicial vertex (its neighbours pairwise adjacent) is on no
 geodesic's interior, so it is in every geodetic set (Chartrand, Harary
@@ -49,10 +47,7 @@ leaves a vertex outside closure | reach[w] | pairs[w].  If that bound
 misses a vertex, no set through w passes the closure filter.  The bound
 only shrinks as w grows, so no set through a later w passes either, and
 the loop breaks.  The filter would reject every set cut, so the same
-sets still reach the search in the same order.  The cut runs where at
-least two vertices are still to come after w, before the budget
-look-ahead: next to the last vertex, building later costs more than it
-saves.
+sets still reach the search in the same order.
 
 Twins (equal open or closed neighbourhoods) swap by a transposition,
 an automorphism, so a twin class contributes its smallest members
@@ -62,6 +57,15 @@ where one happens is the lex-smallest of its orbit (its lex-leader).  A
 lex-leader holds each twin's smaller twins, since the swap would
 otherwise map it lex-below itself, so it is never skipped: values and
 witnesses stay the same.
+
+Each filter runs in one place.  At each w a node tests twins first.
+With two or more vertices still to come after w, it then runs the
+closure and the budget look-aheads and recurses (next to the last
+vertex, building later costs more than it saves).  With one, the loop
+picks the last vertex x itself, in the same order, by its budget, exact
+with d(w, x), then twins, then the closure, so a budget look-ahead there
+would only pre-check that test.  With none (only at the root), the
+child tests the closure and the budget of its finished set.
 """
 
 from __future__ import annotations
@@ -126,14 +130,13 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     bigger instances).
     """
     cache = _PairCache(g)
-    full = (1 << g.n) - 1
-    # The DAG from vertex 0 spans its component; the levels are disjoint.
-    if g.n == 0 or sum(cache.dag(0)[0]) < full:
+    if not cache.connected():
         raise Disconnected("exact solver needs a connected, nonempty graph")
     if g.n > max_vertices:
         raise SizeLimitExceeded(
             f"{g.n} vertices exceeds limit {max_vertices}; pass a higher max_vertices"
         )
+    full = (1 << g.n) - 1
     levels, dist = zip(*map(cache.dag, range(g.n)))
     d = max(map(max, dist))
     # rows[w][u] is the union of the interval I(u, w): level a from u met
@@ -153,7 +156,7 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
     forced = forced_vertices(g)
     # In a complete graph geodesics are single edges and cover nothing
     # new, so only V itself passes the closure filter.
-    start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced), min(g.n, 2))
+    start = max(_lower_bound(g.n, d) if d > 1 else g.n, len(forced))
     # gaps[w][x] = d(w, x) - 1, the most a w-x geodesic adds to the budget.
     gaps = [[e - 1 for e in du] for du in dist]
     need = twin_predecessors(g)
@@ -165,17 +168,12 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
                 list(map(add, span, gaps[x])), list(map(or_, reach, rows[x])))
 
     def walk(i: int, left: int, state: State) -> Iterator[list[int]]:
-        # A child with one vertex left to add gets no call: this loop
-        # picks its last vertex.
         taken, closure, budget, span, reach = state
         if not left:
             if closure >= full and budget >= g.n:
                 yield list(iter_bits(taken))
             return
         more = left - 1
-        # Besides w, the vertices still to come add at most 1 each, their
-        # largest spans (top), and d - 1 per pair of them.
-        rest = more + more * (more - 1) // 2 * (d - 1)
         later: list[int] = []
         for w in range(i, g.n - more):
             if taken >> w & 1 or need[w] & ~taken:
@@ -191,12 +189,12 @@ def sg_exact(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> SgResult:
                         later = list(accumulate(reach[::-1], or_))[::-1]
                     if miss & ~later[w + 1]:
                         break
+                # Budget look-ahead: besides w, the vertices still to come add
+                # 1 each, at most their largest spans (top), and d - 1 a pair.
+                rest = more + more * (more - 1) // 2 * (d - 1)
                 top = sum(sorted(map(add, span[w + 1:], gaps[w][w + 1:]))[-more:])
-            else:
-                # The last vertex x adds its span plus d(w, x) - 1 <= d - 1.
-                top = more and max(span[w + 1:]) + d - 1
-            if size + rest + top < g.n:
-                continue
+                if size + rest + top < g.n:
+                    continue
             if more == 1:
                 # The last vertex x: budget, twins, then closure.
                 grown, held = closure | 1 << w | reach[w], taken | 1 << w

@@ -330,8 +330,7 @@ def is_strong_geodetic_set(g: Graph, vertices) -> Optional[Witness]:
     if not sel:
         raise ValueError("vertex set must be nonempty")
     cache = _PairCache(g)
-    # The DAG from vertex 0 spans its component; the levels are disjoint.
-    if g.n == 0 or sum(cache.dag(0)[0]) < (1 << g.n) - 1:
+    if not cache.connected():
         raise Disconnected("graph is not connected")
     for v in sel:
         if not 0 <= v < g.n:

@@ -14,6 +14,9 @@ from sgeo import (
     distances_from,
     enumerate_geodesics,
     graph_from_edges,
+    is_connected,
+    is_strong_geodetic_set,
+    sg_exact,
 )
 from sgeo.graph import Geodesics
 
@@ -45,6 +48,19 @@ def test_distances(seed):
     for u in range(g.n):
         expected = nx.single_source_shortest_path_length(oracle, u)
         assert distances_from(g, u) == [expected.get(w) for w in range(g.n)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_connectivity(seed):
+    # Every entry that needs a connected graph asks Geodesics.connected,
+    # and each raises its own message on a disconnected one.
+    g, oracle = random_graph(seed)
+    assert is_connected(g) == Geodesics(g).connected() == nx.is_connected(oracle)
+    if not nx.is_connected(oracle):
+        with pytest.raises(Disconnected, match="^exact solver needs a connected, nonempty graph$"):
+            sg_exact(g)
+        with pytest.raises(Disconnected, match="^graph is not connected$"):
+            is_strong_geodetic_set(g, range(g.n))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

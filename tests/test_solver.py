@@ -67,6 +67,11 @@ class TestLowerBound:
         with pytest.raises(DiameterTooSmall):
             lower_bound_general(complete_graph(4))
 
+    def test_at_least_two_from_diameter_two(self):
+        # So sg_exact's start size needs no floor of 2: a graph of
+        # diameter d >= 2 has n >= d + 1 >= 3 vertices.
+        assert min(_lower_bound(n, d) for n in range(3, 60) for d in range(2, n)) == 2
+
 
 class TestExact:
     def test_q3(self):
