@@ -188,14 +188,6 @@ def verify_witness(g: Graph, w: Witness) -> CoverageReport:
     return CoverageReport(covered=ok, uncovered_vertices=uncovered, invalid_paths=invalid)
 
 
-# The bytes that a decision's memo of failed states may hold, estimated
-# by charging each stored state n / 8 + 24 bytes (an n-bit int and its
-# pointers) per live pair and once for its covered set.  sg_exact's first
-# size-8 decision on Q6 stores just over 2^20 states under it, about
-# 0.5 GB; no decision of Q5 or of the benchmark graphs comes near it.
-_MEMO_BYTES = 420 << 20
-
-
 class _PairCache(Geodesics):
     """A graph's geodesic DAGs plus its segment table, filled on first
     use: for the ordered pair (a, b), the a-b interval by level from a,
@@ -236,9 +228,12 @@ def _search(cache: _PairCache, sel: list[int]) -> Optional[Witness]:
     covered set and the index and reach of each live pair, one that can
     still cover something.  A branch node is one stack frame: its state,
     x's bit, the index among the state's live pairs of the option taken
-    (-1 before the first) and the chain that option replaced.  Failed
-    states are memoised up to ``_MEMO_BYTES``.  A pair's witness path is
-    the lexicographically first geodesic through its final chain.
+    (-1 before the first) and the chain that option replaced, so a
+    decision's memory is its stack.  At the root, each interior level of
+    a pair's interval that meets the uncovered set is a slot: the pair's
+    path passes exactly one vertex of that level, so a set with fewer
+    slots than uncovered vertices fails unsearched.  A pair's witness
+    path is the lexicographically first geodesic through its final chain.
     """
     n = cache.g.n
     full = (1 << n) - 1
@@ -249,10 +244,11 @@ def _search(cache: _PairCache, sel: list[int]) -> Optional[Witness]:
     covered = sum(1 << v for v in sel)
     for _, _, forced in entries:
         covered |= forced
+    need = full & ~covered
+    if sum(1 for levels, _, _ in entries for level in levels[1:-1] if level & need) < need.bit_count():
+        return None
     chains = pairs[:]
     reaches = [union for _, union, _ in entries]
-    failed: set[tuple] = set()
-    stored = 0  # the estimated bytes of the states in failed
     stack: list[tuple] = []
     live = range(len(pairs))
     while need := full & ~covered:
@@ -269,11 +265,10 @@ def _search(cache: _PairCache, sel: list[int]) -> Optional[Witness]:
                 live.append(i)
         if ones == need:
             state = (covered, tuple(live), tuple([reaches[i] for i in live]))
-            if state not in failed:
-                pick = need & ~twos or need
-                stack.append((state, pick & -pick, -1, None))
+            pick = need & ~twos or need
+            stack.append((state, pick & -pick, -1, None))
         # Undo the top frame's option and take its next one; a frame with
-        # no option left fails its state and is dropped.
+        # no option left is dropped.
         while stack:
             state, bit, k, chain = stack.pop()
             _, live, held = state
@@ -285,9 +280,6 @@ def _search(cache: _PairCache, sel: list[int]) -> Optional[Witness]:
                 k += 1
             if k < len(held):
                 break
-            if stored < _MEMO_BYTES:
-                failed.add(state)
-                stored += (len(live) + 1) * (n // 8 + 24)
         else:
             return None
         i = live[k]

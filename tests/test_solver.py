@@ -25,11 +25,10 @@ from sgeo import (
     sg_exact,
     verify_witness,
 )
-from sgeo import graph, solver, verify
+from sgeo import graph, solver
 from sgeo.graph import Geodesics, diameter
 from sgeo.solver import _lower_bound
 from sgeo.verify import _PairCache, _search, make_witness
-import test_golden
 from test_golden import benchmark_graphs
 
 
@@ -532,22 +531,3 @@ class TestPathBudget:
         assert len(decided) == 695
         digest = hashlib.sha256(json.dumps(decided).encode()).hexdigest()
         assert digest == "af7ebd8773dd253dc1b6fa7f2b7eb12d6fce9195f659f0e4f2bd31cb3c1d6052"
-
-
-class TestMemoOnlyPrunes:
-    """With no room for a failed state the search must decide every set,
-    and build every witness, exactly as it does with its memo."""
-
-    @pytest.fixture(autouse=True)
-    def no_memo(self, monkeypatch):
-        monkeypatch.setattr(verify, "_MEMO_BYTES", 0)
-
-    @pytest.mark.parametrize("name", AGREEMENT)
-    def test_agrees_with_pair_order_search(self, name):
-        TestDecide().test_agrees_with_pair_order_search(name)
-
-    def test_decided_sets_of_the_benchmark_graphs(self, monkeypatch):
-        TestPathBudget().test_decided_sets_of_the_benchmark_graphs(monkeypatch)
-
-    def test_exact_benchmark_graphs(self, capsys, tmp_path):
-        test_golden.test_exact_benchmark_graphs(capsys, tmp_path)
