@@ -5,6 +5,11 @@ on stdout.  Failures print a structured error document on stderr and
 exit with: 2 for usage or input errors, 3 for solver or resource
 errors, 4 for a verification that ran but did not cover.
 
+JSON documents are written as the exact text of ``json.dumps(doc,
+indent=2)`` by ``_encode``, which encodes sibling values a column at a
+time (see ``_column``) and, on an unencodable value, lets the stdlib
+encoder raise its own error.
+
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call; each call parses into a fresh
 namespace.
@@ -17,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from itertools import accumulate, chain
 from pathlib import Path as FilePath
 
 from . import construct, formulas, graph, solver, verify
@@ -39,17 +45,56 @@ EXIT_UNCOVERED = 4
 
 
 def _encode(o, ind: str = "\n") -> str:
-    """``json.dumps(o, indent=2)`` joined in C; no bool joins as an int: it would print 1."""
+    """``json.dumps(o, indent=2)``.  Siblings are encoded a column at a
+    time, so the first error met need not be the stdlib's: on one, the
+    stdlib encoder runs to raise its own."""
+    try:
+        return _value(o, ind)
+    except (TypeError, ValueError):
+        json.dumps(o, indent=2)
+        raise
+
+
+def _value(o, ind: str) -> str:
+    """``json.dumps(o, indent=2)`` at indent ind, joined in C; a list's
+    elements are one column, and no bool joins as an int: it would print 1."""
     inner = ind + "  "
     if isinstance(o, dict) and o:
         key = json.encoder.encode_basestring_ascii
         items = [(key(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
-                 + (int.__repr__(v) if type(v) is int else _encode(v, inner)) for k, v in o.items()]
+                 + (int.__repr__(v) if type(v) is int else _value(v, inner)) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + ind + "}"
     if isinstance(o, (list, tuple)) and o:
-        items = map(int.__repr__, o) if set(map(type, o)) == {int} else [_encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + ind + "]"
+        return "[" + inner + ("," + inner).join(_column(o, inner)) + ind + "]"
     return json.dumps(o)
+
+
+def _column(col: list | tuple, ind: str) -> list[str]:
+    """``_value(x, ind)`` for each sibling x in col, several at once.
+
+    A column of exact ints is one map.  Two or more non-empty lists
+    encode all their elements as one column and regroup them by length.
+    Two or more dicts with the same str keys in the same order encode
+    each key's values as one column into one %-template.  Any other
+    column is encoded value by value."""
+    types = set(map(type, col))
+    if types <= {int}:
+        return list(map(int.__repr__, col))
+    if len(types) == 1 and len(col) > 1 and all(col):
+        kind, inner = types.pop(), ind + "  "
+        sep = "," + inner
+        if issubclass(kind, (list, tuple)):
+            items = _column(list(chain.from_iterable(col)), inner)
+            ends = list(accumulate(map(len, col)))
+            return ["[" + inner + sep.join(items[i:j]) + ind + "]" for i, j in zip([0] + ends, ends)]
+        keys = list(col[0]) if issubclass(kind, dict) else None
+        if keys and set(map(type, keys)) == {str} and all(map(keys.__eq__, map(list, col))):
+            key = json.encoder.encode_basestring_ascii
+            template = sep.join(key(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "{" + inner + template + ind + "}"
+            values = [_column(v, inner) for v in zip(*[o.values() for o in col])]
+            return [template % row for row in zip(*values)]
+    return [_value(o, ind) for o in col]
 
 
 def _emit(doc, file=None) -> None:

@@ -21,7 +21,8 @@ table that the search reads directly and asks to fill only on a miss.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -51,12 +52,10 @@ class CoverageReport(SimpleNamespace):
 
 
 def make_witness(vertices, pair_paths: dict[tuple[int, int], Path]) -> Witness:
-    verts = tuple(sorted(vertices))
-    assignment = tuple(
-        PairGeodesic(u, v, tuple(pair_paths[(u, v)]))
-        for u, v in sorted(pair_paths)
-    )
-    return Witness(verts, assignment)
+    keys = sorted(pair_paths)
+    paths = map(tuple, map(pair_paths.__getitem__, keys))
+    assignment = tuple(map(PairGeodesic, map(itemgetter(0), keys), map(itemgetter(1), keys), paths))
+    return Witness(tuple(sorted(vertices)), assignment)
 
 
 def witness_to_dict(w: Witness) -> dict:
@@ -82,16 +81,27 @@ def _vertices(xs) -> tuple[int, ...]:
     return xs if set(map(type, xs)) <= {int} else tuple(map(_vertex, xs))
 
 
+def _assignment(items) -> tuple[PairGeodesic, ...]:
+    """The pairs of a witness document's assignment.  The u, v and path
+    columns are read and type-checked once each; if that fails, the items
+    are read one by one, which raises for the first bad item."""
+    items = list(items)
+    try:
+        us, vs = [a["u"] for a in items], [a["v"] for a in items]
+        paths = [tuple(a["path"]) for a in items]
+        types = set(map(type, us)) | set(map(type, vs)) | set(map(type, chain.from_iterable(paths)))
+        if types <= {int}:
+            return tuple(map(PairGeodesic, us, vs, paths))
+    except (KeyError, TypeError):
+        pass
+    return tuple(PairGeodesic(_vertex(a["u"]), _vertex(a["v"]), _vertices(a["path"])) for a in items)
+
+
 def witness_from_dict(data: dict) -> Witness:
     try:
-        verts = _vertices(data["set"])
-        assignment = tuple(
-            PairGeodesic(_vertex(a["u"]), _vertex(a["v"]), _vertices(a["path"]))
-            for a in data["assignment"]
-        )
+        return Witness(_vertices(data["set"]), _assignment(data["assignment"]))
     except (KeyError, TypeError) as exc:
         raise MalformedWitness(f"bad witness document: {exc}") from None
-    return Witness(verts, assignment)
 
 
 def report_to_dict(r: CoverageReport) -> dict:

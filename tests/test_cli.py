@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -474,6 +475,13 @@ def random_document(rng, depth=0):
     return {rng.choice(keys): item for item in items}
 
 
+def moved_ordered_dict():
+    """An OrderedDict whose order is no longer its underlying dict's."""
+    d = OrderedDict(a=1, b=[2])
+    d.move_to_end("a")
+    return d
+
+
 class TestEncode:
     """``_encode`` is the CLI's writer for ``json.dumps(doc, indent=2)``."""
 
@@ -483,8 +491,30 @@ class TestEncode:
             doc = random_document(rng)
             assert _encode(doc) == json.dumps(doc, indent=2), doc
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            *([{"%s": i, "é": [i, -i], "k": {"%d": "%s%%"}} for i in range(n)] for n in range(2, 6)),
+            [{"a": 1, "b": [2]}, {"b": [3], "a": 4}, {"a": 5, "b": [6]}],
+            [{"x": x, "y": [x]} for x in (True, None, 1.5, [], {}, 7, False)],
+            {"b": [True, False], "f": [0.5, 1.5], "s": ["%s", "é"], "n": [None, None]},
+            [[1, 2], [True, 3], [], [4, 5, 6]],
+            {"p": [[0], [], [1, 2], [False]], "q": [[], [3]]},
+            [moved_ordered_dict(), moved_ordered_dict()],
+        ],
+        ids=[*(f"shared-keys-{n}" for n in range(2, 6)), "key-order", "scalars", "uniform-scalars",
+             "int-lists", "int-lists-in-dict", "ordered-dicts"],
+    )
+    def test_matches_stdlib_on_columns(self, doc):
+        # Each document reaches a batched path: a column of ints, of
+        # lists, of dicts with shared keys, or a column that must not batch.
+        assert _encode(doc) == json.dumps(doc, indent=2)
+
     def test_rejects_what_stdlib_rejects(self):
-        for doc in ({(1, 2): 0}, [1, object()], {"a": {1j}}):
+        # The last document's columns reach the set before the object;
+        # the stdlib meets the object first and names it.
+        columns = [{"a": 1, "b": object()}, {"a": {1j}, "b": 2}]
+        for doc in ({(1, 2): 0}, [1, object()], {"a": {1j}}, columns):
             with pytest.raises(TypeError) as ours:
                 _encode(doc)
             with pytest.raises(TypeError) as theirs:

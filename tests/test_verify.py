@@ -170,6 +170,21 @@ class TestVerifyWitness:
             witness_from_dict(doc)
         assert str(info.value) == f"bad witness document: vertex {bad!r} is not an integer"
 
+    def test_large_witness_round_trip(self):
+        # construct hypercube 11 --n0 6: 2,016 pairs, read as columns.
+        w = construct.build_hypercube_basic(11, 6).witness
+        assert len(w.assignment) == 2016
+        assert witness_from_dict(json.loads(json.dumps(witness_to_dict(w)))) == w
+
+    def test_first_bad_item_is_named(self):
+        # Item 1's u is in the first column checked, but the columns only
+        # fail as a whole: the item-by-item reading names item 0's vertex.
+        doc = {"set": [0, 3, 5], "assignment": [{"u": 0, "v": 3, "path": [0, 1.5, 3]},
+                                                {"u": "0", "v": 5, "path": [0, 1, 5]}]}
+        with pytest.raises(MalformedWitness) as info:
+            witness_from_dict(doc)
+        assert str(info.value) == "bad witness document: vertex 1.5 is not an integer"
+
     @pytest.mark.parametrize(
         "doc, message",
         [
